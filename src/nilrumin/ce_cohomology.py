@@ -278,7 +278,8 @@ def hodge_decomposition(alg, inner, q):
 def harmonic_projection(alg, inner, q):
     """Orthogonal projection Lambda^q -> harmonic subspace in harmonic-basis
     coordinates (a b_q x dim Lambda^q matrix), together with the basis."""
-    _, harm, _ = hodge_decomposition(alg, inner, q)
+    d_prev = ce_differential(alg, q - 1) if q > 0 else None
+    harm = _harmonic_basis(alg, inner, q, d_prev, ce_differential(alg, q))
     if not harm or not harm[0]:
         return [], harm
     g_q = inner.lambda_gram(q)

@@ -105,10 +105,6 @@ class BadGeneratorShape(ValidationError):
 
 # -- CLI ---------------------------------------------------------------------------
 
-class UnknownSubcommand(ValidationError):
-    pass
-
-
 class ParseError(ValueError):
     """Malformed input file; carries line/column when available."""
 

@@ -24,7 +24,7 @@ candidates are confirmed by an exact big-integer expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt, prod
 
@@ -64,8 +64,13 @@ class DimensionVector:
 
 def poincare_polynomial(dv):
     """Exact integer coefficients of prod_p (1 - t^p)^(n_p), length n + 1."""
+    return _expand_parts(dv.parts)
+
+
+def _expand_parts(parts):
+    """prod_p (1 - t^p)^(parts[p-1]) as exact integers; parts may be all zero."""
     coeffs = [1]
-    for p, np_ in enumerate(dv.parts, start=1):
+    for p, np_ in enumerate(parts, start=1):
         if np_ == 0:
             continue
         # sparse factor (1 - t^p)^(n_p) = sum_k (-1)^k C(n_p, k) t^(pk)
@@ -126,7 +131,6 @@ class SieveReport:
     needed_roots: int           # n - d
     weights: list | None        # complement set P of the roots, when passing
     normalization_checked: bool = False
-    closed_form_roots: list = field(default_factory=list)
 
 
 def lemma2_check(dv):
@@ -269,22 +273,6 @@ def family_vector(family, n):
 # -- fast range scans ------------------------------------------------------------
 
 
-def _tail_polynomial_exact(tail):
-    """(1-t^2)^(n_2) ... (1-t^r)^(n_r) as exact integers (tail indexed from p=2)."""
-    coeffs = [1]
-    for p, np_ in enumerate(tail, start=2):
-        if np_ == 0:
-            continue
-        factor = {p * k: (-1) ** k * comb(np_, k) for k in range(np_ + 1)}
-        out = [0] * (len(coeffs) + p * np_)
-        for shift, c in factor.items():
-            for i, x in enumerate(coeffs):
-                if x:
-                    out[i + shift] += c * x
-        coeffs = out
-    return coeffs
-
-
 def integral_roots(dv):
     """All i in {0..n} with c(i) = 0, by exact evaluation.
 
@@ -328,7 +316,7 @@ def _scan_tail(tail, n1_max):
     p = _PRIME
     base = np.zeros(sum(q * x for q, x in enumerate(tail, start=2)) + n1_max + 1,
                     dtype=np.int64)
-    tail_exact = _tail_polynomial_exact(tail)
+    tail_exact = _expand_parts((0,) + tail)
     base[: len(tail_exact)] = [c % p for c in tail_exact]
     deg = len(tail_exact) - 1
     d_tail = sum(tail)

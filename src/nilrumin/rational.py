@@ -49,10 +49,6 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -269,28 +265,3 @@ def is_positive_definite(a):
         return False
     return all(m > 0 for m in leading_principal_minors(a))
 
-
-def intersect_spans(cols_a, cols_b, dim):
-    """Basis of span(cols_a) ∩ span(cols_b) inside Q^dim."""
-    if not cols_a or not cols_b:
-        return []
-    # x in both spans: A u = B v; kernel of [A | -B]
-    rows = [[cols_a[k][i] for k in range(len(cols_a))]
-            + [-cols_b[k][i] for k in range(len(cols_b))]
-            for i in range(dim)]
-    out = []
-    for w in nullspace(rows):
-        u = w[: len(cols_a)]
-        vec = [sum(cols_a[k][i] * u[k] for k in range(len(cols_a))) for i in range(dim)]
-        if any(x != 0 for x in vec):
-            out.append(vec)
-    # prune to an independent set
-    if not out:
-        return []
-    keep, span = [], []
-    for v in out:
-        trial = span + [v]
-        if rank(trial) > len(span):
-            keep.append(v)
-            span = trial
-    return keep

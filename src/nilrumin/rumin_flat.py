@@ -11,8 +11,12 @@ with delta the order-0 Kostant codifferential (the CE adjoint) and pi the
 orthogonal projection onto the harmonic subspace.  L is solved from the
 linear system these conditions impose on a grading-homogeneous ansatz: the
 component of L raising the form weight by w carries UEA coefficients of
-Heisenberg order exactly w.  The Rumin differential is D = pi d L; purity of
-the cohomology makes its Heisenberg order equal to p_{q+1} - p_q.
+Heisenberg order exactly w.  All three conditions are left products, so they
+act on each column of L separately, and the ansatz is the same for every
+column: one column block is solved with the b_q columns of the identity as
+right-hand sides, and the solution is unique when that block has full column
+rank.  The Rumin differential is D = pi d L; purity of the cohomology makes
+its Heisenberg order equal to p_{q+1} - p_q.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import AnsatzInsufficient, NotPure
 from .rational import (
     inverse,
     mat_mul,
+    rank,
     solve,
     transpose,
     zeros,
@@ -118,10 +123,16 @@ def solve_splitting_L(alg, inner, uea=None, max_extra=None):
         max_extra = alg.homogeneous_dimension
     d_ops = invariant_de_rham(alg, uea)
     deltas = kostant_delta(alg, inner, uea)
+    m = alg.dim
     L = []
-    for q in range(alg.dim + 1):
+    for q in range(m + 1):
+        proj, _ = harmonic_projection(alg, inner, q)
+        blocks = [deltas[q]] if q >= 1 else []
+        if q < m:
+            blocks.append(deltas[q + 1] @ d_ops[q])
+        blocks.append(UEAOperatorMatrix.from_scalar(uea, proj))
         for extra in range(max_extra + 1):
-            lq = _solve_L_degree(alg, inner, uea, coh, d_ops, deltas, q, extra)
+            lq = _solve_L_degree(alg, uea, coh, blocks, q, extra)
             if lq is not None:
                 L.append(lq)
                 break
@@ -132,90 +143,59 @@ def solve_splitting_L(alg, inner, uea=None, max_extra=None):
     return L, coh, d_ops
 
 
-def _solve_L_degree(alg, inner, uea, coh, d_ops, deltas, q, extra):
-    m = alg.dim
-    basis = exterior_basis(m, q)
-    n_q = len(basis)
-    b_q = coh.betti[q]
-    p_q = coh.p[q]
-    proj, _ = harmonic_projection(alg, inner, q)
-    proj_op = UEAOperatorMatrix.from_scalar(uea, proj)
-    if b_q == 0:
-        return UEAOperatorMatrix(uea, [[] for _ in range(n_q)], 0)
+def _solve_L_degree(alg, uea, coh, blocks, q, extra):
+    """L_q from one column block, or None when the ansatz is inconsistent.
 
-    # unknown slots: (row i, column j, monomial) with order in
-    # [w_i - p_q, w_i - p_q + extra]
+    ``blocks`` are delta_q, delta_{q+1} d_q and pi_q, the last one always
+    present.  The unknowns are one column's slots (row i, monomial) with
+    order in [w_i - p_q, w_i - p_q + extra]; the b_q columns of L are the
+    right-hand sides, the identity placed in pi's rows.
+    """
+    basis = exterior_basis(alg.dim, q)
+    b_q = coh.betti[q]
+    if b_q == 0:
+        return UEAOperatorMatrix(uea, [[] for _ in basis], 0)
     slots = []
     for i, I in enumerate(basis):
-        w = weight_of(alg, I) - p_q
-        if w < 0:
-            continue
-        monos = []
-        for o in range(w, w + extra + 1):
-            monos.extend(uea.monomials_of_order(o))
-        for j in range(b_q):
-            for mono in monos:
-                slots.append((i, j, mono))
+        w = weight_of(alg, I) - coh.p[q]
+        if w >= 0:
+            for o in range(w, w + extra + 1):
+                slots.extend((i, mono) for mono in uea.monomials_of_order(o))
     if not slots:
         return None
 
-    def conditions(op):
-        conds = []
-        if q >= 1:
-            conds.append(deltas[q] @ op)
-        if q < m:
-            conds.append(deltas[q + 1] @ (d_ops[q] @ op))
-        conds.append(proj_op @ op)
-        return conds
-
-    # linearity: assemble the sparse coefficient column of each unit slot
-    columns = []
+    # slot (i, mono) has the coefficient column block[r][i] * X^mono
     eq_index = {}
-    for u, (i, j, mono) in enumerate(slots):
-        unit = UEAOperatorMatrix.zero(uea, n_q, b_q)
-        unit.entries[i][j] = uea.element({mono: Fraction(1)})
+    columns = []
+    for i, mono in slots:
+        x_mono = uea.element({mono: Fraction(1)})
         col = {}
-        for t, cond in enumerate(conditions(unit)):
-            for r, row in enumerate(cond.entries):
-                for c, e in enumerate(row):
-                    for exps, coeff in e.coeffs.items():
-                        key = (t, r, c, exps)
-                        eq_index.setdefault(key, len(eq_index))
-                        col[eq_index[key]] = col.get(eq_index[key], Fraction(0)) + coeff
+        for t, block in enumerate(blocks):
+            for r, row in enumerate(block.entries):
+                for exps, coeff in (row[i] * x_mono).coeffs.items():
+                    col[eq_index.setdefault((t, r, exps), len(eq_index))] = coeff
         columns.append(col)
-
-    # right-hand side: pi L = id contributes the identity; other blocks zero
-    t_pi = len(conditions(UEAOperatorMatrix.zero(uea, n_q, b_q))) - 1
-    zero_mono = (0,) * m
-    for j in range(b_q):
-        eq_index.setdefault((t_pi, j, j, zero_mono), len(eq_index))
-    n_eq = len(eq_index)
-    rhs = [Fraction(0)] * n_eq
-    for j in range(b_q):
-        rhs[eq_index[(t_pi, j, j, zero_mono)]] = Fraction(1)
-
-    a = zeros(n_eq, len(slots))
+    t_pi, zero_mono = len(blocks) - 1, (0,) * alg.dim
+    id_rows = [eq_index.setdefault((t_pi, j, zero_mono), len(eq_index)) for j in range(b_q)]
+    a = zeros(len(eq_index), len(slots))
     for u, col in enumerate(columns):
         for r, v in col.items():
             a[r][u] = v
+    rhs = zeros(len(eq_index), b_q)
+    for j, r in enumerate(id_rows):
+        rhs[r][j] = Fraction(1)
     x = solve(a, rhs)
     if x is None:
         return None
-    if len(slots) > 0 and _has_kernel(a):
+    if rank(a) < len(slots):
         raise AnsatzInsufficient(
             f"splitting in degree {q} is underdetermined within the ansatz"
         )
-    lq = UEAOperatorMatrix.zero(uea, n_q, b_q)
-    for u, (i, j, mono) in enumerate(slots):
-        if x[u]:
-            lq.entries[i][j] = lq.entries[i][j] + uea.element({mono: x[u]})
-    return UEAOperatorMatrix(uea, lq.entries)
-
-
-def _has_kernel(a):
-    from .rational import nullspace
-
-    return bool(nullspace(a))
+    entries = [[{} for _ in range(b_q)] for _ in basis]
+    for (i, mono), values in zip(slots, x):
+        for j, v in enumerate(values):
+            entries[i][j][mono] = v
+    return UEAOperatorMatrix(uea, [[uea.element(e) for e in row] for row in entries])
 
 
 def rumin_D(alg, inner, reference_inner=None):
@@ -302,11 +282,6 @@ def star_on_cohomology(alg, inner, rc, q, orientation=1):
     if coords is None:
         raise NotPure(f"star image of harmonic {q}-forms is not harmonic")
     return coords
-
-
-def formal_adjoint_uea(op, gram_source, gram_target):
-    """Formal adjoint of a UEA operator matrix between inner-product spaces."""
-    return formal_adjoint(op, gram_source, gram_target)
 
 
 def harmonic_gram(alg, inner, harm, q):

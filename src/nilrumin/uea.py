@@ -248,10 +248,6 @@ class UEAOperatorMatrix:
         orders = [e.order() for row in self.entries for e in row if not e.is_zero()]
         return max(orders) if orders else 0
 
-    def order_attained(self, k):
-        """True if some entry has a monomial of order exactly k and none exceeds k."""
-        return self.order() == k
-
     def __matmul__(self, other):
         if isinstance(other, UEAOperatorMatrix):
             if self.cols != other.rows:

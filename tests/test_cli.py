@@ -5,16 +5,20 @@ Claims:
     - the 235 cohomology report carries b, p, k and n = 10
     - family and shape sieve runs emit the documented CSV columns
     - rumin --check exits 0 with every symbolic identity passing
+    - rumin reports on 235 and heisenberg5 are byte-identical to tests/golden/
     - torsion reads a complex file and honors --lambda/--N/--a
     - nilgroup subcommands produce the documented lattice coordinates
     - validation errors exit 1 with the error name; parse errors exit 2
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from nilrumin.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def invoke(*argv):
@@ -126,6 +130,12 @@ class TestRumin:
         res = json.loads(out)["results"]
         assert res["orders"] == [1, 3, 2, 3, 1]
         assert res["orders"] == res["k"]
+
+    @pytest.mark.parametrize("preset", ["235", "heisenberg5"])
+    def test_report_matches_golden(self, preset):
+        code, out = invoke("rumin", "--preset", preset, "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / f"rumin_{preset}.json").read_text()
 
 
 class TestTorsion:

@@ -6,9 +6,11 @@ Claims:
     - delta is order 0 with delta^2 = 0 and equals the CE adjoint
     - the splitting L satisfies its three defining conditions, is unique
       (perturbing any coefficient breaks a condition), and for h3 carries an
-      order-1 correction into the theta^3 component
-    - D = pi d L: D^2 = 0, Heisenberg orders match k_q, D_0 on the (2,3,5)
-      model is (X_1, X_2), abelian models give back the full de Rham operator
+      order-1 correction into the theta^3 component; a column block with a
+      kernel is reported as AnsatzInsufficient
+    - D = pi d L: D^2 = 0, Heisenberg orders match k_q (h7 included), D_0 on
+      the (2,3,5) model is (X_1, X_2), abelian models give back the full de
+      Rham operator
     - D is exactly identical across random graded inner products
     - the star conjugation identity (D_q)* = (-1)^(q+1) star^-1 D_{m-q-1} star
       holds on the (2,3,5), h3 and one-dimensional abelian models
@@ -20,10 +22,16 @@ from fractions import Fraction
 
 import pytest
 
-from nilrumin.ce_cohomology import harmonic_projection, identity_metric, random_graded_inner_product
-from nilrumin.errors import NotPure
+from nilrumin.ce_cohomology import (
+    betti_and_weights,
+    harmonic_projection,
+    identity_metric,
+    random_graded_inner_product,
+)
+from nilrumin.errors import AnsatzInsufficient, NotPure
 from nilrumin.graded_lie import abelian, algebra_235, build_algebra, heisenberg
 from nilrumin.rumin_flat import (
+    _solve_L_degree,
     gr_equals_ce,
     invariant_de_rham,
     kostant_delta,
@@ -147,6 +155,17 @@ class TestSplitting:
                     {mono: Fraction(1)})
                 assert not conditions_hold(perturbed)
 
+    def test_underdetermined_block_raises(self):
+        # without the delta conditions, pi L = id alone leaves L free
+        alg = heisenberg(1)
+        inner = identity_metric(alg)
+        uea = UEA(alg)
+        coh = betti_and_weights(alg, inner)
+        proj, _ = harmonic_projection(alg, inner, 1)
+        blocks = [UEAOperatorMatrix.from_scalar(uea, proj)]
+        with pytest.raises(AnsatzInsufficient):
+            _solve_L_degree(alg, uea, coh, blocks, 1, 0)
+
     def test_not_pure_rejected(self):
         mixed = build_algebra((-1, -2), {})  # H^1 weights {1, 2}
         with pytest.raises(NotPure):
@@ -157,6 +176,7 @@ class TestRuminD:
     def test_orders_match_k(self):
         for make, expected in ((algebra_235, (1, 3, 2, 3, 1)),
                                (lambda: heisenberg(1), (1, 2, 1)),
+                               (lambda: heisenberg(3), (1, 1, 1, 2, 1, 1, 1)),
                                (lambda: abelian(3), (1, 1, 1))):
             alg = make()
             rc = rumin_D(alg, identity_metric(alg))
