@@ -18,15 +18,17 @@ from itertools import combinations
 
 from .errors import DegenerateMetric, GradingViolation, NotPositiveDefinite
 from .rational import (
+    adjoint,
     column_space,
     columns_to_matrix,
     det,
+    harmonic_basis,
     identity,
     inverse,
     is_positive_definite,
     mat,
     mat_mul,
-    nullspace,
+    orthogonal_projection,
     rank,
     transpose,
     zeros,
@@ -167,11 +169,6 @@ def extend_metric_235(alg, g):
     return GradedInnerProduct(alg, full)
 
 
-def adjoint_matrix(a, gram_src, gram_dst):
-    """Adjoint of a: (src, gram_src) -> (dst, gram_dst), i.e. G_src^-1 aT G_dst."""
-    return mat_mul(inverse(gram_src), mat_mul(transpose(a), gram_dst))
-
-
 @dataclass
 class WeightedCohomology:
     """Betti numbers, grading-weight multisets and purity data of H^*(g)."""
@@ -223,7 +220,7 @@ def betti_and_weights(alg, inner=None):
             per_weight.extend([w] * (ker_w - img_w))
         betti.append(len(per_weight))
         weights.append(tuple(sorted(per_weight)))
-        harmonic.append(_harmonic_basis(alg, inner, q, d_prev, d_q))
+        harmonic.append(harmonic_basis(d_q, d_prev, inner.lambda_gram(q), len(basis)))
         d_prev = d_q
     pure = all(len(set(ws)) <= 1 for ws in weights)
     p = tuple(ws[0] for ws in weights) if pure and all(weights) else None
@@ -240,19 +237,6 @@ def betti_and_weights(alg, inner=None):
     )
 
 
-def _harmonic_basis(alg, inner, q, d_prev, d_q):
-    """Columns spanning ker d_q ∩ ker d*_{q-1}, exact."""
-    n_q = len(exterior_basis(alg.dim, q))
-    rows = [row[:] for row in d_q] if d_q else []
-    if q > 0 and d_prev:
-        dstar = adjoint_matrix(d_prev, inner.lambda_gram(q - 1), inner.lambda_gram(q))
-        rows.extend(dstar)
-    if not rows:
-        cols = [[Fraction(1 if i == j else 0) for i in range(n_q)] for j in range(n_q)]
-        return columns_to_matrix(cols, n_q)
-    return columns_to_matrix(nullspace(rows), n_q)
-
-
 def hodge_decomposition(alg, inner, q):
     """Orthogonal decomposition Lambda^q = img d_{q-1} ⊕ harmonic ⊕ img d*_q.
 
@@ -265,9 +249,9 @@ def hodge_decomposition(alg, inner, q):
     img = column_space(d_prev) if d_prev else []
     coimg = []
     if q < m and d_q:
-        dstar = adjoint_matrix(d_q, inner.lambda_gram(q), inner.lambda_gram(q + 1))
+        dstar = adjoint(d_q, inner.lambda_gram(q), inner.lambda_gram(q + 1))
         coimg = column_space(dstar)
-    harm = _harmonic_basis(alg, inner, q, d_prev, d_q)
+    harm = harmonic_basis(d_q, d_prev, inner.lambda_gram(q), n_q)
     return (
         columns_to_matrix(img, n_q),
         harm,
@@ -279,14 +263,11 @@ def harmonic_projection(alg, inner, q):
     """Orthogonal projection Lambda^q -> harmonic subspace in harmonic-basis
     coordinates (a b_q x dim Lambda^q matrix), together with the basis."""
     d_prev = ce_differential(alg, q - 1) if q > 0 else None
-    harm = _harmonic_basis(alg, inner, q, d_prev, ce_differential(alg, q))
+    g_q = inner.lambda_gram(q)
+    harm = harmonic_basis(ce_differential(alg, q), d_prev, g_q, len(g_q))
     if not harm or not harm[0]:
         return [], harm
-    g_q = inner.lambda_gram(q)
-    ht_g = mat_mul(transpose(harm), g_q)
-    gram_h = mat_mul(ht_g, harm)
-    proj = mat_mul(inverse(gram_h), ht_g)
-    return proj, harm
+    return orthogonal_projection(harm, g_q), harm
 
 
 @dataclass
@@ -334,7 +315,7 @@ def star(alg, inner, q, orientation=1):
 
 def star_adjoint_rational(alg, inner, st):
     """Rational part of the adjoint star: adjoint(star) = sqrt(det) * result."""
-    return adjoint_matrix(st.matrix, inner.lambda_gram(st.q), inner.lambda_gram(st.m - st.q))
+    return adjoint(st.matrix, inner.lambda_gram(st.q), inner.lambda_gram(st.m - st.q))
 
 
 def duality_pairing(alg, q, inner=None):

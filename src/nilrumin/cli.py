@@ -177,7 +177,7 @@ def _sieve_rows(args):
         return rows
     if args.shape:
         ranges = _parse_shape(args.shape)
-        passing = purity_sieve.sieve_range(ranges, jobs=max(1, args.jobs))
+        passing = purity_sieve.sieve_range(ranges, jobs=args.jobs)
         return [_report_row(purity_sieve.lemma2_check(dv), args.emit_p) for dv in passing]
     raise ParseError("need --vector, --family or --shape")
 

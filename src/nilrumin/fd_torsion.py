@@ -14,9 +14,10 @@ exp(-zeta'_lambda(0) / 2 kappa) times the norm of the lambda-small subcomplex;
 it is independent of lambda, of the N_q (subject to N_{q+1} - N_q = k_q) and
 of rescaling the a_q, and all of those invariances are exposed as checks.
 
-Adjoints are formed exactly as D*_q = G_q^(-1) D_q^T G_{q+1}; eigenvalues use
-a symmetric-definite generalized solver, and an exact pseudo-determinant
-oracle over the rationals arbitrates at lambda = 0.
+Adjoints D*_q = G_q^(-1) D_q^T G_{q+1} are formed once, exactly, for the
+Laplacians; harmonic bases use D^T G instead, and spec+(D*_q D_q) is solved
+as the symmetric-definite pencil (D_q^T G_{q+1} D_q, G_q).  An exact
+pseudo-determinant oracle over the rationals arbitrates at lambda = 0.
 """
 
 from __future__ import annotations
@@ -38,14 +39,18 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .rational import (
+    adjoint,
+    charpoly,
     columns_to_matrix,
     det,
+    harmonic_basis,
     identity,
     inverse,
     is_positive_definite,
     mat,
     mat_mul,
     nullspace,
+    orthogonal_projection,
     pseudo_det,
     rank,
     solve,
@@ -80,6 +85,8 @@ class FiniteComplex:
         if any(x < 1 for x in self.k):
             raise ConstraintViolated(f"order labels {self.k} must be >= 1")
         self._validate()
+        self._adjoints = {self.degree(i): adjoint(d, self.grams[i], self.grams[i + 1])
+                          for i, d in enumerate(self.diffs)}
         self._spec_plus = {}
 
     def _validate(self):
@@ -132,11 +139,8 @@ class FiniteComplex:
         return 1
 
     def adjoint(self, q):
-        """D*_q = G_q^(-1) D_q^T G_{q+1}, exact."""
-        if self.dim(q) == 0 or self.dim(q + 1) == 0:
-            return zeros(self.dim(q), self.dim(q + 1))
-        return mat_mul(inverse(self.gram(q)),
-                       mat_mul(transpose(self.diff(q)), self.gram(q + 1)))
+        """D*_q = G_q^(-1) D_q^T G_{q+1}, exact, formed once per complex."""
+        return self._adjoints.get(q) or zeros(self.dim(q), self.dim(q + 1))
 
     # -- exact structure ---------------------------------------------------
 
@@ -151,24 +155,14 @@ class FiniteComplex:
 
     def harmonic_basis(self, q):
         """Columns spanning ker D_q ∩ ker D*_{q-1}; exact."""
-        n = self.dim(q)
-        if n == 0:
-            return []
-        rows = [row[:] for row in self.diff(q)]
-        rows.extend(self.adjoint(q - 1))
-        if not rows:
-            return identity(n)
-        return columns_to_matrix(nullspace(rows), n)
+        return harmonic_basis(self.diff(q), self.diff(q - 1), self.gram(q), self.dim(q))
 
     def harmonic_projection_of(self, q, vectors):
         """Exact orthogonal projections of columns onto the harmonic subspace."""
         h = self.harmonic_basis(q)
         if not h or not h[0]:
             return [[] for _ in range(self.dim(q))]
-        g = self.gram(q)
-        htg = mat_mul(transpose(h), g)
-        coeffs = mat_mul(inverse(mat_mul(htg, h)), mat_mul(htg, vectors))
-        return mat_mul(h, coeffs)
+        return mat_mul(h, mat_mul(orthogonal_projection(h, self.gram(q)), vectors))
 
     # -- spectra -------------------------------------------------------------
 
@@ -185,8 +179,8 @@ class FiniteComplex:
         if n == 0 or r == 0:
             self._spec_plus[q] = []
             return []
-        dstar_d = mat_mul(self.adjoint(q), self.diff(q))
-        s = np.array(mat_mul(self.gram(q), dstar_d), dtype=float)
+        d = self.diff(q)
+        s = np.array(mat_mul(transpose(d), mat_mul(self.gram(q + 1), d)), dtype=float)
         b = np.array(self.gram(q), dtype=float)
         eigs = scipy.linalg.eigh(s, b, eigvals_only=True)
         out = sorted(float(x) for x in eigs[-r:])
@@ -265,8 +259,8 @@ def laplacians(cx, a=None):
 
 
 def mat_add_power(acc, m, e):
-    p = identity(len(m))
-    for _ in range(e):
+    p = m
+    for _ in range(e - 1):
         p = mat_mul(p, m)
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, p)]
 
@@ -514,21 +508,13 @@ def _close(x, y, tol):
 def spectrum_pairing_check(cx):
     """mult(mu, D*_q D_q) = mult(mu, D_q D*_q) for mu > 0, via exact
     characteristic polynomials: they differ by a power of x."""
-    from .rational import charpoly
-
     for q in cx.degrees:
         if cx.dim(q) == 0 or cx.dim(q + 1) == 0:
             continue
         p1 = charpoly(mat_mul(cx.adjoint(q), cx.diff(q)))
         p2 = charpoly(mat_mul(cx.diff(q), cx.adjoint(q)))
-        # strip trailing zero coefficients (powers of x)
-        t1 = [c for c in p1]
-        t2 = [c for c in p2]
-        while t1 and t1[-1] == 0:
-            t1.pop()
-        while t2 and t2[-1] == 0:
-            t2.pop()
-        if t1 != t2:
+        # x^m p1 = x^n p2 (n, m the two dimensions), as highest-first lists
+        if p1 + [0] * len(p2) != p2 + [0] * len(p1):
             return False
     return True
 

@@ -24,6 +24,7 @@ candidates are confirmed by an exact big-integer expansion.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt, prod
@@ -358,15 +359,19 @@ def sieve_range(ranges, jobs=1):
 
     Returns the passing DimensionVectors in lexicographic order of
     (n_1, ..., n_r).  The scan partitions by tail (n_2, ..., n_r); partitions
-    may be evaluated in parallel with identical results.
+    may be evaluated in parallel with identical results.  At most
+    min(jobs, CPU count, number of tails) worker processes are started.
     """
     if not ranges or any(lo > hi or lo < 0 for lo, hi in ranges):
         raise EmptyRange(f"invalid range specification {ranges}")
+    if jobs < 1:
+        raise OutOfRange(f"jobs = {jobs} must be at least 1")
     lo1, hi1 = ranges[0]
     tails = [()]
     for lo, hi in ranges[1:]:
         tails = [t + (x,) for t in tails for x in range(lo, hi + 1)]
-    if jobs > 1 and len(tails) > 1:
+    jobs = min(jobs, os.cpu_count() or 1, len(tails))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [tails[i::jobs] for i in range(jobs)]

@@ -4,6 +4,9 @@ Matrices are lists of rows, entries fractions.Fraction; vectors are lists.
 Row reduction first clears denominators per row and then runs the
 fraction-free Bareiss elimination, so all intermediate entries are integers.
 Nothing in this module touches floating point.
+
+The exact Hodge theory of a complex with Gram matrices (adjoint, harmonic
+basis, orthogonal projection) is here too, shared by every caller.
 """
 
 from __future__ import annotations
@@ -226,17 +229,15 @@ def charpoly(a):
     """
     n = len(a)
     coeffs = [Fraction(1)]
-    m = zeros(n, n)
-    c = Fraction(1)
+    m = identity(n)
     for k in range(1, n + 1):
-        # M_k = a·M_{k-1} + c_{k-1}·I
+        # c_k = -tr(a·M_k)/k, then M_{k+1} = a·M_k + c_k·I
         am = mat_mul(a, m)
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs.append(c)
         for i in range(n):
             am[i][i] += c
         m = am
-        tr = sum(mat_mul(a, m)[i][i] for i in range(n))
-        c = -tr / k
-        coeffs.append(c)
     return coeffs
 
 
@@ -253,6 +254,29 @@ def pseudo_det(a):
     low = next((j for j in range(n, -1, -1) if coeffs[j] != 0), None)
     degree_q = low
     return Fraction((-1) ** degree_q) * coeffs[low]
+
+
+def adjoint(a, gram_src, gram_dst):
+    """Adjoint of a: (src, gram_src) -> (dst, gram_dst), i.e. G_src^-1 aT G_dst."""
+    return mat_mul(inverse(gram_src), mat_mul(transpose(a), gram_dst))
+
+
+def harmonic_basis(d_q, d_prev, gram_q, n):
+    """Columns spanning ker d_q ∩ ker d*_{q-1} in a degree of dimension n.
+
+    ker d*_{q-1} = ker(d_{q-1}T G_q), as G_{q-1}^-1 is invertible: no inverse.
+    """
+    rows = d_q + mat_mul(transpose(d_prev), gram_q) if d_prev else d_q
+    if not rows:
+        return identity(n)
+    return columns_to_matrix(nullspace(rows), n)
+
+
+def orthogonal_projection(h, gram):
+    """(HT G H)^-1 HT G: coordinates, in the columns of h, of the
+    G-orthogonal projection onto their span."""
+    ht_g = mat_mul(transpose(h), gram)
+    return mat_mul(inverse(mat_mul(ht_g, h)), ht_g)
 
 
 def leading_principal_minors(a):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ce_cohomology import (
-    adjoint_matrix,
     betti_and_weights,
     ce_differential,
     exterior_basis,
@@ -36,6 +35,7 @@ from .ce_cohomology import (
 )
 from .errors import AnsatzInsufficient, NotPure
 from .rational import (
+    adjoint,
     inverse,
     mat_mul,
     rank,
@@ -81,7 +81,7 @@ def kostant_delta(alg, inner, uea=None):
     out = {}
     for q in range(1, alg.dim + 1):
         d_prev = ce_differential(alg, q - 1)
-        adj = adjoint_matrix(d_prev, inner.lambda_gram(q - 1), inner.lambda_gram(q))
+        adj = adjoint(d_prev, inner.lambda_gram(q - 1), inner.lambda_gram(q))
         out[q] = UEAOperatorMatrix.from_scalar(uea, adj)
     return out
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 import pytest
 
 from nilrumin.ce_cohomology import (
-    adjoint_matrix,
     betti_and_weights,
     ce_differential,
     duality_pairing,
@@ -37,6 +36,7 @@ from nilrumin.errors import NotPositiveDefinite
 from nilrumin.graded_lie import abelian, algebra_235, heisenberg
 from nilrumin.purity_sieve import DimensionVector, poincare_polynomial
 from nilrumin.rational import (
+    adjoint,
     det,
     identity,
     inverse,
@@ -257,7 +257,7 @@ class TestStar:
             m = alg.dim
             inner = random_graded_inner_product(alg, rng)
             for q in range(1, m + 1):
-                dstar = adjoint_matrix(
+                dstar = adjoint(
                     ce_differential(alg, q - 1),
                     inner.lambda_gram(q - 1),
                     inner.lambda_gram(q),

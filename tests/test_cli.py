@@ -111,6 +111,11 @@ class TestSieve:
         _, parallel = invoke(*argv, "--jobs", "2")
         assert serial == parallel
 
+    def test_jobs_below_one_rejected(self):
+        code, out = invoke("sieve", "--shape", "n1:0..10,n2:0..2", "--jobs", "0")
+        assert code == 1
+        assert "OutOfRange" in out
+
     def test_vector_report(self):
         code, out = invoke("sieve", "--vector", "2,1,2", "--emit-p", "--format", "json")
         row = json.loads(out)["results"]["rows"][0]

@@ -10,8 +10,12 @@ Claims:
       n2=4 only n=8, n2=5 only n=10 (n <= 10000); the partial-root counts
     - the nonzero-coefficient count is always at least d+1
     - sieve_range on a singleton equals lemma2_check and is parallel safe
+    - sieve_range rejects jobs < 1 and starts at most min(jobs, CPUs, tails)
+      workers
 """
 
+import concurrent.futures
+import os
 import random
 from fractions import Fraction
 from math import isqrt
@@ -223,6 +227,37 @@ class TestSieveRange:
     def test_empty_range(self):
         with pytest.raises(EmptyRange):
             sieve_range([(3, 1)])
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(OutOfRange):
+                sieve_range([(0, 4), (0, 2)], jobs=jobs)
+
+    def test_jobs_clamped_to_cpus_and_tails(self, monkeypatch):
+        # a fake pool that records its size and maps in-process: no worker starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(x) for x in items]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        ranges = [(0, 12), (0, 2), (0, 2)]  # 9 tails
+        assert sieve_range(ranges, jobs=10**9) == sieve_range(ranges, jobs=1)
+        sieve_range([(0, 12), (0, 1)], jobs=10**9)  # 2 tails
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        sieve_range(ranges, jobs=10**9)
+        assert sizes == [3, 2]
 
     def test_order_deterministic(self):
         ranges = [(0, 10), (0, 2)]

@@ -4,20 +4,33 @@ Claims:
     - Bareiss echelon gives ranks, kernels and column spaces exactly
     - solve returns exact solutions and detects inconsistency
     - det and charpoly agree with cofactor/eigen structure on small cases
+    - every charpoly coefficient equals sympy's, rank-deficient inputs included
     - pseudo_det multiplies the nonzero eigenvalues of diagonalizable matrices
     - no floating point can leak in: frac rejects floats
+    - the Hodge helpers need no Gram inverse: harmonic_basis equals the kernel
+      of [d_q; d*_{q-1}], and d^T G d = G (d* d), on CE complexes of 235 and
+      heisenberg5 with random graded metrics and on random finite complexes
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilrumin.ce_cohomology import (
+    betti_and_weights,
+    ce_differential,
+    random_graded_inner_product,
+)
+from nilrumin.graded_lie import algebra_235, heisenberg
 from nilrumin.rational import (
+    adjoint,
     charpoly,
     column_space,
+    columns_to_matrix,
     det,
     frac,
     identity,
@@ -31,8 +44,25 @@ from nilrumin.rational import (
     solve,
     transpose,
 )
+from conftest import random_complex
 
 small = st.integers(min_value=-6, max_value=6)
+entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n rational matrices, n <= 6; about half are products of an n x r
+    and an r x n factor with r < n, so rank-deficient."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    if r == 0:
+        return [[Fraction(0)] * n for _ in range(n)]
+    return mat_mul(left, right)
 
 
 def rand_matrix(rng, r, c, spread=4):
@@ -104,6 +134,13 @@ class TestDeterminants:
             assert coeffs[1] == -tr
             assert coeffs[n] == (-1) ** n * det(a)
 
+    @given(square_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_charpoly_matches_sympy(self, a):
+        x = sympy.Symbol("x")
+        expected = sympy.Matrix(a).charpoly(x).all_coeffs()
+        assert charpoly(a) == [Fraction(str(c)) for c in expected]
+
     def test_pseudo_det_diagonal(self):
         a = [[Fraction(0), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5)]]
         a = [[frac(x) for x in row] for row in a]
@@ -127,3 +164,48 @@ class TestExactness:
             assert all(isinstance(x, Fraction) for x in v)
         sol = solve(m, [Fraction(1), Fraction(0)])
         assert all(isinstance(x, Fraction) for x in sol)
+
+
+def _stacked_reference(d_q, d_prev, gram_prev, gram_q, n):
+    """ker [d_q; G_{q-1}^-1 d_{q-1}^T G_q]: the harmonic basis with the adjoint formed."""
+    rows = list(d_q)
+    if d_prev:
+        rows += mat_mul(inverse(gram_prev), mat_mul(transpose(d_prev), gram_q))
+    if not rows:
+        return identity(n)
+    return columns_to_matrix(nullspace(rows), n)
+
+
+class TestHodgeWithoutInverse:
+    @staticmethod
+    def _check_degree(harm, d_q, d_prev, dstar, gram_prev, gram_q, gram_next):
+        assert harm == _stacked_reference(d_q, d_prev, gram_prev, gram_q, len(gram_q))
+        if d_q and d_q[0]:
+            assert mat_mul(transpose(d_q), mat_mul(gram_next, d_q)) == mat_mul(
+                gram_q, mat_mul(dstar, d_q))
+
+    @pytest.mark.parametrize("make_alg", [algebra_235, lambda: heisenberg(2)],
+                             ids=["235", "heisenberg5"])
+    def test_ce_complex_random_metrics(self, make_alg, rng):
+        alg = make_alg()
+        m = alg.dim
+        for _ in range(3):
+            inner = random_graded_inner_product(alg, rng)
+            harmonic = betti_and_weights(alg, inner).harmonic
+            g = [inner.lambda_gram(q) for q in range(m + 1)] + [[]]
+            for q in range(m + 1):
+                d_q = ce_differential(alg, q)
+                self._check_degree(
+                    harmonic[q], d_q, ce_differential(alg, q - 1) if q > 0 else None,
+                    adjoint(d_q, g[q], g[q + 1]) if q < m else None,
+                    g[q - 1] if q > 0 else None, g[q], g[q + 1])
+
+    def test_random_finite_complexes(self, rng):
+        for _ in range(30):
+            cx, _ = random_complex(rng)
+
+            def gram(q):
+                return cx.gram(q) if cx.dim(q) else []
+            for q in cx.degrees:
+                self._check_degree(cx.harmonic_basis(q), cx.diff(q), cx.diff(q - 1),
+                                   cx.adjoint(q), gram(q - 1), gram(q), gram(q + 1))
