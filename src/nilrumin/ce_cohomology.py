@@ -28,7 +28,6 @@ from .rational import (
     is_positive_definite,
     mat,
     mat_mul,
-    orthogonal_projection,
     rank,
     transpose,
     zeros,
@@ -257,17 +256,6 @@ def hodge_decomposition(alg, inner, q):
         harm,
         columns_to_matrix(coimg, n_q),
     )
-
-
-def harmonic_projection(alg, inner, q):
-    """Orthogonal projection Lambda^q -> harmonic subspace in harmonic-basis
-    coordinates (a b_q x dim Lambda^q matrix), together with the basis."""
-    d_prev = ce_differential(alg, q - 1) if q > 0 else None
-    g_q = inner.lambda_gram(q)
-    harm = harmonic_basis(ce_differential(alg, q), d_prev, g_q, len(g_q))
-    if not harm or not harm[0]:
-        return [], harm
-    return orthogonal_projection(harm, g_q), harm
 
 
 @dataclass

@@ -12,7 +12,7 @@ import random
 import sys
 
 from . import __version__
-from .errors import ParseError, ValidationError
+from .errors import OutOfRange, ParseError, ValidationError
 from . import fd_torsion, nilgroup, purity_sieve, rumin_flat
 from .ce_cohomology import betti_and_weights, random_graded_inner_product
 from .io_formats import (
@@ -197,6 +197,8 @@ def _report_row(report, emit_p):
 
 
 def _run_sieve(args):
+    if args.jobs < 1:
+        raise OutOfRange(f"--jobs {args.jobs} must be at least 1")
     rows = _sieve_rows(args)
     spec = args.vector or args.family or args.shape or ""
     digest = hashlib.sha256(spec.encode()).hexdigest()
@@ -275,16 +277,17 @@ def _rumin_checks(alg, inner, rc, seed):
     )
     checks["orders_match_k"] = tuple(rc.orders) == tuple(rc.k)
     rng = random.Random(seed)
-    base = rumin_flat.rumin_D(alg, inner, reference_inner=inner)
+    # rc is already in the harmonic basis of inner, which is what expressing
+    # it over reference_inner=inner would give: every change of basis is I
     metric_ok = True
     for _ in range(5):
         other = random_graded_inner_product(alg, rng)
         rc2 = rumin_flat.rumin_D(alg, other, reference_inner=inner)
         metric_ok = metric_ok and all(
-            rc2.D[q] == base.D[q] for q in range(alg.dim)
+            rc2.D[q] == rc.D[q] for q in range(alg.dim)
         )
     checks["metric_independent"] = metric_ok
-    duality = rumin_flat.star_duality_check(alg, inner)
+    duality = rumin_flat.star_duality_check(rc)
     checks["star_duality"] = duality["all_hold"]
     return checks
 

@@ -123,7 +123,9 @@ class FiniteComplex:
         return self.dims[i] if 0 <= i < len(self.dims) else 0
 
     def gram(self, q):
-        return self.grams[self.index(q)]
+        """Gram matrix of C^q; empty outside the stored range."""
+        i = self.index(q)
+        return self.grams[i] if 0 <= i < len(self.grams) else []
 
     def diff(self, q):
         """D_q: C^q -> C^(q+1); zero outside the stored range."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import BadGeneratorShape, DegenerateGenerators, NotUnimodular
+from .errors import BadGeneratorShape, DegenerateGenerators, NotUnimodular, OutOfRange
 from .graded_lie import automorphism_from_generators, grading_automorphism
 from .rational import frac
 
@@ -235,12 +235,19 @@ def character_action(a, p):
                           rows[0][1] * s + rows[1][1] * t)
 
 
+# Longest walk character_orbit takes: each step keeps one exact point.
+MAX_ORBIT_WORDS = 1_000_000
+
+
 def character_orbit(p, words, rng):
     """Visit the orbit of p along a random walk of `words` generator steps.
 
     Each emitted point is the image of p under one prefix word in the
     standard generators of GL(2, Z); a numeric density probe, not a proof.
+    Raises OutOfRange unless 1 <= words <= MAX_ORBIT_WORDS.
     """
+    if not 1 <= words <= MAX_ORBIT_WORDS:
+        raise OutOfRange(f"words = {words} outside 1..{MAX_ORBIT_WORDS}")
     gens = [
         ((1, 1), (0, 1)),
         ((1, 0), (1, 1)),

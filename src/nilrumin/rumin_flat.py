@@ -8,7 +8,9 @@ splitting operator L is pinned by the three conditions
     delta L = 0,      delta d L = 0,      pi L = id,
 
 with delta the order-0 Kostant codifferential (the CE adjoint) and pi the
-orthogonal projection onto the harmonic subspace.  L is solved from the
+orthogonal projection onto the harmonic subspace.  The harmonic bases are the
+ones ``betti_and_weights`` chooses for the metric, and each pi_q is formed
+from them once per degree and used both here and in D.  L is solved from the
 linear system these conditions impose on a grading-homogeneous ansatz: the
 component of L raising the form weight by w carries UEA coefficients of
 Heisenberg order exactly w.  All three conditions are left products, so they
@@ -28,7 +30,6 @@ from .ce_cohomology import (
     betti_and_weights,
     ce_differential,
     exterior_basis,
-    harmonic_projection,
     insert_sign,
     star,
     weight_of,
@@ -36,8 +37,10 @@ from .ce_cohomology import (
 from .errors import AnsatzInsufficient, NotPure
 from .rational import (
     adjoint,
+    column_space,
     inverse,
     mat_mul,
+    orthogonal_projection,
     rank,
     solve,
     transpose,
@@ -111,9 +114,12 @@ class RuminComplex:
 def solve_splitting_L(alg, inner, uea=None, max_extra=None):
     """Solve the defining conditions of the splitting operator L for all q.
 
-    Raises NotPure when the cohomology is not pure, and AnsatzInsufficient
-    when no unique solution exists within the homogeneity ansatz even after
-    raising the per-component order bound up to the homogeneous dimension.
+    Returns (L, coh, d_ops, pis): the per-degree L_q, the cohomology of
+    ``inner``, the invariant de Rham operators and the harmonic projections
+    pi_q, formed once per degree from ``coh.harmonic``.  Raises NotPure when
+    the cohomology is not pure, and AnsatzInsufficient when no unique
+    solution exists within the homogeneity ansatz even after raising the
+    per-component order bound up to the homogeneous dimension.
     """
     uea = uea or UEA(alg)
     coh = betti_and_weights(alg, inner)
@@ -123,14 +129,17 @@ def solve_splitting_L(alg, inner, uea=None, max_extra=None):
         max_extra = alg.homogeneous_dimension
     d_ops = invariant_de_rham(alg, uea)
     deltas = kostant_delta(alg, inner, uea)
+    pis = [
+        UEAOperatorMatrix.from_scalar(uea, orthogonal_projection(h, inner.lambda_gram(q)))
+        for q, h in enumerate(coh.harmonic)
+    ]
     m = alg.dim
     L = []
     for q in range(m + 1):
-        proj, _ = harmonic_projection(alg, inner, q)
         blocks = [deltas[q]] if q >= 1 else []
         if q < m:
             blocks.append(deltas[q + 1] @ d_ops[q])
-        blocks.append(UEAOperatorMatrix.from_scalar(uea, proj))
+        blocks.append(pis[q])
         for extra in range(max_extra + 1):
             lq = _solve_L_degree(alg, uea, coh, blocks, q, extra)
             if lq is not None:
@@ -140,7 +149,7 @@ def solve_splitting_L(alg, inner, uea=None, max_extra=None):
             raise AnsatzInsufficient(
                 f"no unique splitting in degree {q} within order bound +{max_extra}"
             )
-    return L, coh, d_ops
+    return L, coh, d_ops, pis
 
 
 def _solve_L_degree(alg, uea, coh, blocks, q, extra):
@@ -154,7 +163,7 @@ def _solve_L_degree(alg, uea, coh, blocks, q, extra):
     basis = exterior_basis(alg.dim, q)
     b_q = coh.betti[q]
     if b_q == 0:
-        return UEAOperatorMatrix(uea, [[] for _ in basis], 0)
+        return UEAOperatorMatrix(uea, [[] for _ in basis])
     slots = []
     for i, I in enumerate(basis):
         w = weight_of(alg, I) - coh.p[q]
@@ -201,27 +210,26 @@ def _solve_L_degree(alg, uea, coh, blocks, q, extra):
 def rumin_D(alg, inner, reference_inner=None):
     """The Rumin complex D = pi d L for all degrees.
 
-    The matrices act between the cohomology spaces in the harmonic basis of
+    D_q = pi_{q+1} d_q L_q, with the projections solve_splitting_L formed
+    from the harmonic bases of ``betti_and_weights``.  The matrices act
+    between the cohomology spaces in the harmonic basis of
     ``reference_inner`` (default: ``inner`` itself); expressing two metrics'
     complexes over a common reference exhibits metric independence as exact
     matrix equality.
     """
     uea = UEA(alg)
-    L, coh, d_ops = solve_splitting_L(alg, inner, uea)
+    L, coh, d_ops, pis = solve_splitting_L(alg, inner, uea)
     m = alg.dim
-    D = []
-    for q in range(m):
-        proj, _ = harmonic_projection(alg, inner, q + 1)
-        proj_op = UEAOperatorMatrix.from_scalar(uea, proj)
-        D.append(proj_op @ (d_ops[q] @ L[q]))
-    harms = [harmonic_projection(alg, inner, q)[1] for q in range(m + 1)]
+    D = [pis[q + 1] @ (d_ops[q] @ L[q]) for q in range(m)]
+    harms = coh.harmonic
     if reference_inner is not None:
+        hrefs = betti_and_weights(alg, reference_inner).harmonic
         c_mats = [
-            quotient_coordinates(alg, reference_inner, q, harms[q])
+            quotient_coordinates(alg, hrefs[q], q, harms[q])
             for q in range(m + 1)
         ]
         D = [c_mats[q + 1] @ (D[q] @ inverse(c_mats[q])) for q in range(m)]
-        harms = [harmonic_projection(alg, reference_inner, q)[1] for q in range(m + 1)]
+        harms = hrefs
     orders = tuple(dq.order() for dq in D)
     return RuminComplex(
         algebra=alg,
@@ -235,31 +243,19 @@ def rumin_D(alg, inner, reference_inner=None):
     )
 
 
-def quotient_coordinates(alg, reference_inner, q, columns_matrix):
+def quotient_coordinates(alg, href, q, columns_matrix):
     """Coordinates of cocycle columns in H^q = ker d / img d, with the basis
-    induced by the reference metric's harmonic representatives."""
-    href = harmonic_projection(alg, reference_inner, q)[1]
+    induced by the harmonic representatives ``href`` (columns) of a
+    reference metric."""
     img = ce_differential(alg, q - 1) if q > 0 else None
-    b = len(href[0]) if href and href[0] else 0
-    n_cols = len(columns_matrix[0]) if columns_matrix and columns_matrix[0] else 0
-    from .rational import column_space
-
     img_cols = column_space(img) if img else []
-    # solve [href | img] * (c, w) = v for each column v
-    rows = len(columns_matrix)
-    system = [
-        [href[i][j] for j in range(b)] + [col[i] for col in img_cols]
-        for i in range(rows)
-    ]
-    out = zeros(b, n_cols)
-    for c in range(n_cols):
-        v = [columns_matrix[i][c] for i in range(rows)]
-        sol = solve(system, v)
-        if sol is None:
-            raise NotPure("column is not a cocycle of the expected class")
-        for j in range(b):
-            out[j][c] = sol[j]
-    return out
+    # solve [href | img] * (c, w) = columns; [href | img] has full column
+    # rank (harmonic forms are orthogonal to img d), so c is unique
+    system = [row + [col[i] for col in img_cols] for i, row in enumerate(href)]
+    sol = solve(system, columns_matrix)
+    if sol is None:
+        raise NotPure("column is not a cocycle of the expected class")
+    return sol[:len(href[0])]
 
 
 def gr_equals_ce(alg):
@@ -288,13 +284,15 @@ def harmonic_gram(alg, inner, harm, q):
     return mat_mul(mat_mul(transpose(harm), inner.lambda_gram(q)), harm)
 
 
-def star_duality_check(alg, inner, orientation=1):
+def star_duality_check(rc, orientation=1):
     """Verify (D_q)* = (-1)^(q+1) star^(-1) D_{m-q-1} star for every q.
 
-    Also records k_q = k_{m-q-1}.  Returns a per-degree report; the scale of
-    the star cancels in the conjugation, so the check is exact over Q.
+    ``rc`` is a RuminComplex in the harmonic basis of its own metric
+    (``rumin_D(alg, inner)``).  Also records k_q = k_{m-q-1}.  Returns a
+    per-degree report; the scale of the star cancels in the conjugation, so
+    the check is exact over Q.
     """
-    rc = rumin_D(alg, inner)
+    alg, inner = rc.algebra, rc.inner
     m = alg.dim
     grams = [harmonic_gram(alg, inner, rc.harmonic[q], q) for q in range(m + 1)]
     stars = [star_on_cohomology(alg, inner, rc, q, orientation) for q in range(m + 1)]

@@ -228,21 +228,19 @@ class UEAOperatorMatrix:
     coefficients of the left factor act after (to the left of) the right's.
     """
 
-    def __init__(self, uea, entries, order_bound=None):
+    def __init__(self, uea, entries):
         self.uea = uea
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
-        declared = order_bound if order_bound is not None else self.order()
-        self.order_bound = declared
 
     @classmethod
     def zero(cls, uea, rows, cols):
-        return cls(uea, [[uea.zero() for _ in range(cols)] for _ in range(rows)], 0)
+        return cls(uea, [[uea.zero() for _ in range(cols)] for _ in range(rows)])
 
     @classmethod
     def from_scalar(cls, uea, matrix):
-        return cls(uea, [[uea.scalar(x) for x in row] for row in matrix], 0)
+        return cls(uea, [[uea.scalar(x) for x in row] for row in matrix])
 
     def order(self):
         orders = [e.order() for row in self.entries for e in row if not e.is_zero()]

@@ -207,7 +207,7 @@ def test_criterion_4_rumin_flat(make, expected):
 @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1)])
 def test_criterion_5_star_duality(make):
     alg = make()
-    result = star_duality_check(alg, identity_metric(alg))
+    result = star_duality_check(rumin_D(alg, identity_metric(alg)))
     assert result["all_hold"]
     assert all(result["degrees"].values())
     assert result["orders_palindromic"]

@@ -4,11 +4,14 @@ Claims:
     - reports are byte-identical across repeated runs on every preset
     - the 235 cohomology report carries b, p, k and n = 10
     - family and shape sieve runs emit the documented CSV columns
-    - rumin --check exits 0 with every symbolic identity passing
+    - rumin --check exits 0 with every symbolic identity passing, and on
+      235 forms each metric's harmonic bases and projections once per degree
     - rumin reports on 235 and heisenberg5 are byte-identical to tests/golden/
     - torsion reads a complex file and honors --lambda/--N/--a
     - nilgroup subcommands produce the documented lattice coordinates
-    - validation errors exit 1 with the error name; parse errors exit 2
+    - validation errors exit 1 with the error name; parse errors exit 2;
+      sieve --jobs below 1 and char-orbit --words outside 1..10^6 are
+      validation errors
 """
 
 import json
@@ -112,9 +115,12 @@ class TestSieve:
         assert serial == parallel
 
     def test_jobs_below_one_rejected(self):
-        code, out = invoke("sieve", "--shape", "n1:0..10,n2:0..2", "--jobs", "0")
-        assert code == 1
-        assert "OutOfRange" in out
+        for argv in (("--shape", "n1:0..10,n2:0..2", "--jobs", "0"),
+                     ("--vector", "2,1,2", "--jobs", "0"),
+                     ("--family", "n2-2", "--n-max", "10", "--jobs", "-3")):
+            code, out = invoke("sieve", *argv)
+            assert code == 1
+            assert "OutOfRange" in out
 
     def test_vector_report(self):
         code, out = invoke("sieve", "--vector", "2,1,2", "--emit-p", "--format", "json")
@@ -129,6 +135,32 @@ class TestRumin:
         assert code == 0
         checks = json.loads(out)["results"]["checks"]
         assert all(checks.values())
+
+    def test_check_forms_hodge_data_once_per_metric(self, monkeypatch):
+        # 6 rumin_D calls on 235 (m = 5): one harmonic basis and one
+        # projection per degree and metric, plus the reference metric's bases
+        import sys
+
+        from nilrumin import rational, rumin_flat
+
+        counts = {"harmonic_basis": 0, "orthogonal_projection": 0, "rumin_D": 0}
+        for owner, name in ((rational, "harmonic_basis"),
+                            (rational, "orthogonal_projection"),
+                            (rumin_flat, "rumin_D")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for key, module in list(sys.modules.items()):
+                if key.startswith("nilrumin") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        code, _ = invoke("rumin", "--preset", "235", "--check")
+        assert code == 0
+        assert counts["harmonic_basis"] <= 66
+        assert counts["orthogonal_projection"] <= 36
+        assert counts["rumin_D"] == 6
 
     def test_orders_in_report(self):
         code, out = invoke("rumin", "--preset", "235", "--format", "json")
@@ -215,6 +247,12 @@ class TestNilgroup:
                            "--words", "10", "--seed", "1")
         lines = out.strip().splitlines()
         assert lines[0] == "s;t" and len(lines) == 11
+
+    @pytest.mark.parametrize("words", ["0", "-5", "1000001"])
+    def test_char_orbit_words_out_of_range(self, words):
+        code, out = invoke("nilgroup", "char-orbit", "1/3", "1/7", "--words", words)
+        assert code == 1
+        assert "OutOfRange" in out
 
 
 class TestErrors:

@@ -12,6 +12,7 @@ Claims:
     - duality inverts torsion (dual and shift complexes); direct sums multiply
     - the Z2-graded form agrees; nonzero D*D and DD* spectra pair exactly
     - degenerate inputs and constraint violations raise the named errors
+    - outside the stored degrees the dimension is 0 and the Gram is empty
 """
 
 import math
@@ -60,6 +61,15 @@ def close(x, y, tol=TOL):
 
 def two_term(c=Fraction(3)):
     return FiniteComplex(0, [1, 1], [[[c]]])
+
+
+class TestRange:
+    def test_gram_empty_outside_degrees(self):
+        cx = FiniteComplex(0, [1, 2], [[[1], [0]]])
+        assert cx.gram(0) == [[1]] and len(cx.gram(1)) == 2
+        for q in (-1, 2):
+            assert cx.dim(q) == 0
+            assert cx.gram(q) == []
 
 
 class TestLaplacians:

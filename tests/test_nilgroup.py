@@ -15,7 +15,8 @@ Claims:
     - the lattice embedding follows the normal-form proof: k = 1 on the
       standard generators, k = 6 on the 1/3 variant, images always in Gamma_0
     - the GL(2,Z) character action satisfies the group-action axioms exactly
-      on rational points; the orbit density probe covers every 0.05-box
+      on rational points; the orbit density probe covers every 0.05-box;
+      a walk length outside 1..MAX_ORBIT_WORDS is rejected before it starts
 """
 
 import math
@@ -24,12 +25,13 @@ from fractions import Fraction
 
 import pytest
 
-from nilrumin.errors import BadGeneratorShape, DegenerateGenerators, NotUnimodular
+from nilrumin.errors import BadGeneratorShape, DegenerateGenerators, NotUnimodular, OutOfRange
 from nilrumin.graded_lie import algebra_235, automorphism_from_generators, grading_automorphism
 from nilrumin.nilgroup import (
     GAMMA1,
     GAMMA2,
     IDENTITY,
+    MAX_ORBIT_WORDS,
     CharacterPoint,
     GroupElement,
     apply_automorphism,
@@ -252,6 +254,15 @@ class TestCharacterTorus:
     def test_mod_one_reduction(self):
         p = CharacterPoint(Fraction(7, 3), Fraction(-1, 4))
         assert (p.s, p.t) == (Fraction(1, 3), Fraction(3, 4))
+
+    @pytest.mark.parametrize("words", [0, -5, MAX_ORBIT_WORDS + 1])
+    def test_orbit_words_bounded_before_walk(self, words):
+        class NoWalk:
+            def randrange(self, n):
+                raise AssertionError("the walk started")
+
+        with pytest.raises(OutOfRange):
+            character_orbit(CharacterPoint(0, 0), words, NoWalk())
 
     def test_orbit_density_probe(self):
         # numeric probe of the dense-orbit fact: every 0.05-box is visited

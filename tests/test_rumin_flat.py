@@ -11,7 +11,8 @@ Claims:
     - D = pi d L: D^2 = 0, Heisenberg orders match k_q (h7 included), D_0 on
       the (2,3,5) model is (X_1, X_2), abelian models give back the full de
       Rham operator
-    - D is exactly identical across random graded inner products
+    - D is exactly identical across random graded inner products, and
+      re-expressing D in its own metric's harmonic basis changes nothing
     - the star conjugation identity (D_q)* = (-1)^(q+1) star^-1 D_{m-q-1} star
       holds on the (2,3,5), h3 and one-dimensional abelian models
     - non-pure algebras are rejected
@@ -24,12 +25,12 @@ import pytest
 
 from nilrumin.ce_cohomology import (
     betti_and_weights,
-    harmonic_projection,
     identity_metric,
     random_graded_inner_product,
 )
 from nilrumin.errors import AnsatzInsufficient, NotPure
 from nilrumin.graded_lie import abelian, algebra_235, build_algebra, heisenberg
+from nilrumin.rational import orthogonal_projection
 from nilrumin.rumin_flat import (
     _solve_L_degree,
     gr_equals_ce,
@@ -96,7 +97,7 @@ class TestKostantDelta:
 class TestSplitting:
     def test_abelian_identity(self):
         alg = abelian(3)
-        L, coh, _ = solve_splitting_L(alg, identity_metric(alg))
+        L, coh, _, _ = solve_splitting_L(alg, identity_metric(alg))
         for q, lq in enumerate(L):
             assert lq.order() == 0
             part = lq.order_zero_part()
@@ -105,12 +106,12 @@ class TestSplitting:
 
     def test_235_degree_zero_is_inclusion(self):
         alg = algebra_235()
-        L, _, _ = solve_splitting_L(alg, identity_metric(alg))
+        L, _, _, _ = solve_splitting_L(alg, identity_metric(alg))
         assert L[0].order() == 0
 
     def test_h3_order_one_correction(self):
         alg = heisenberg(1)
-        L, _, _ = solve_splitting_L(alg, identity_metric(alg))
+        L, _, _, _ = solve_splitting_L(alg, identity_metric(alg))
         l1 = L[1]
         assert l1.order() == 1
         # the theta^3 row carries the order-1 coefficients
@@ -126,12 +127,11 @@ class TestSplitting:
         alg = make()
         inner = identity_metric(alg)
         uea = UEA(alg)
-        L, coh, d_ops = solve_splitting_L(alg, inner, uea)
+        L, coh, d_ops, pis = solve_splitting_L(alg, inner, uea)
         deltas = kostant_delta(alg, inner, uea)
         for q in degrees:
             lq = L[q]
-            proj, _ = harmonic_projection(alg, inner, q)
-            proj_op = UEAOperatorMatrix.from_scalar(uea, proj)
+            proj_op = pis[q]
             ident = UEAOperatorMatrix.from_scalar(
                 uea, [[1 if i == j else 0 for j in range(coh.betti[q])]
                       for i in range(coh.betti[q])])
@@ -161,7 +161,7 @@ class TestSplitting:
         inner = identity_metric(alg)
         uea = UEA(alg)
         coh = betti_and_weights(alg, inner)
-        proj, _ = harmonic_projection(alg, inner, 1)
+        proj = orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1))
         blocks = [UEAOperatorMatrix.from_scalar(uea, proj)]
         with pytest.raises(AnsatzInsufficient):
             _solve_L_degree(alg, uea, coh, blocks, 1, 0)
@@ -215,6 +215,16 @@ class TestRuminD:
                       for e in row if not e.is_zero()]
             assert max(orders) == rc.k[q]
 
+    @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(2)])
+    @pytest.mark.parametrize("metric", ["identity", "random"])
+    def test_own_reference_changes_nothing(self, make, metric, rng):
+        # [H | img d] has full column rank, so re-expressing a complex in its
+        # own harmonic basis solves every column to e_j
+        alg = make()
+        inner = (identity_metric(alg) if metric == "identity"
+                 else random_graded_inner_product(alg, rng))
+        assert rumin_D(alg, inner, reference_inner=inner).D == rumin_D(alg, inner).D
+
     @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
                                       lambda: abelian(2, -2),
                                       lambda: scaled_235(random.Random(99))])
@@ -231,14 +241,14 @@ class TestRuminD:
 class TestStarDuality:
     def test_one_dimensional_classical(self):
         alg = abelian(1)
-        report = star_duality_check(alg, identity_metric(alg))
+        report = star_duality_check(rumin_D(alg, identity_metric(alg)))
         assert report["all_hold"]
 
     @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
                                       lambda: heisenberg(2)])
     def test_presets(self, make):
         alg = make()
-        report = star_duality_check(alg, identity_metric(alg))
+        report = star_duality_check(rumin_D(alg, identity_metric(alg)))
         assert report["all_hold"]
         assert all(report["degrees"].values())
         assert report["orders_palindromic"]
@@ -246,11 +256,11 @@ class TestStarDuality:
     def test_random_metric(self, rng):
         alg = heisenberg(1)
         inner = random_graded_inner_product(alg, rng)
-        assert star_duality_check(alg, inner)["all_hold"]
+        assert star_duality_check(rumin_D(alg, inner))["all_hold"]
 
     def test_opposite_orientation(self):
         alg = heisenberg(1)
-        report = star_duality_check(alg, identity_metric(alg), orientation=-1)
+        report = star_duality_check(rumin_D(alg, identity_metric(alg)), orientation=-1)
         assert report["all_hold"]
 
 
