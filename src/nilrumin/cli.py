@@ -139,6 +139,14 @@ def _run_cohomology(args):
     return 0, render_report(doc, args.format)
 
 
+def _ints(parts, flag):
+    """Integers from strings; ParseError naming the flag otherwise."""
+    try:
+        return [int(x) for x in parts]
+    except ValueError as exc:
+        raise ParseError(f"bad integer in {flag}: {exc}") from exc
+
+
 def _parse_shape(text):
     ranges = []
     for part in text.split(","):
@@ -147,14 +155,13 @@ def _parse_shape(text):
             raise ParseError(f"bad shape component {part!r}; use nK:lo..hi")
         _, span = part.split(":", 1)
         lo, _, hi = span.partition("..")
-        hi = hi or lo
-        ranges.append((int(lo), int(hi)))
+        ranges.append(tuple(_ints((lo, hi or lo), "--shape")))
     return ranges
 
 
 def _sieve_rows(args):
     if args.vector:
-        dv = purity_sieve.DimensionVector([int(x) for x in args.vector.split(",")])
+        dv = purity_sieve.DimensionVector(_ints(args.vector.split(","), "--vector"))
         return [_report_row(purity_sieve.lemma2_check(dv), args.emit_p)]
     if args.family:
         tail = purity_sieve.FAMILY_SHAPES[args.family]
@@ -298,8 +305,8 @@ def _run_torsion(args):
         lam = float(args.cutoff)  # the one flag where a float is legitimate
     except ValueError as exc:
         raise ParseError(f"bad --lambda value {args.cutoff!r}") from exc
-    n_labels = [int(x) for x in args.n_labels.split(",")] if args.n_labels else None
-    exponents = [int(x) for x in args.exponents.split(",")] if args.exponents else None
+    n_labels = _ints(args.n_labels.split(","), "--N") if args.n_labels else None
+    exponents = _ints(args.exponents.split(","), "--a") if args.exponents else None
     ref = {q: v for q, v in (reference or {}).items()}
     result = fd_torsion.torsion_norm(cx, ref, lam=lam, n_labels=n_labels, a=exponents)
     results = {
@@ -326,10 +333,7 @@ def _torsion_checks(cx, ref, exponents):
     spectra = sorted(
         mu for q in cx.degrees for mu in fd_torsion.delta_spectrum(cx, q, a)
     )
-    lams = [0.0]
-    if spectra:
-        lams.append(spectra[0] / 2)
-        lams.append(spectra[-1] * 2)
+    lams = [spectra[0] / 2, spectra[-1] * 2] if spectra else []
     vals = [fd_torsion.torsion_norm(cx, ref, lam=lam, a=a).total for lam in lams]
     checks["lambda_independent"] = all(
         abs(v - base.total) <= tol * max(1.0, abs(base.total)) for v in vals

@@ -16,8 +16,10 @@ of rescaling the a_q, and all of those invariances are exposed as checks.
 
 Adjoints D*_q = G_q^(-1) D_q^T G_{q+1} are formed once, exactly, for the
 Laplacians; harmonic bases use D^T G instead, and spec+(D*_q D_q) is solved
-as the symmetric-definite pencil (D_q^T G_{q+1} D_q, G_q).  An exact
-pseudo-determinant oracle over the rationals arbitrates at lambda = 0.
+as the symmetric-definite pencil (D_q^T G_{q+1} D_q, G_q).  At lambda = 0 an
+exact oracle over the rationals arbitrates: det'(Delta_q) is
+sdet_q^(a_q) sdet_(q-1)^(a_(q-1)), with sdet_q the determinant of D*_q D_q on
+the coexact part (ker D_q)-perp, formed once per complex.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .rational import (
     mat_mul,
     nullspace,
     orthogonal_projection,
-    pseudo_det,
     rank,
     solve,
     transpose,
@@ -66,6 +67,8 @@ class FiniteComplex:
 
     Degrees run over min_degree .. min_degree + len(dims) - 1; diffs[i] maps
     degree min_degree + i to the next one and carries order label k[i].
+    The complex is immutable: adjoints, ranks and harmonic projectors are
+    formed once at construction, spectra and coexact determinants on first use.
     """
 
     def __init__(self, min_degree, dims, diffs, grams=None, k=None):
@@ -87,7 +90,16 @@ class FiniteComplex:
         self._validate()
         self._adjoints = {self.degree(i): adjoint(d, self.grams[i], self.grams[i + 1])
                           for i, d in enumerate(self.diffs)}
+        self._ranks = [rank(d) for d in self.diffs]
+        self._harmonic = {}
+        self._projectors = {}
+        for q in self.degrees:
+            if self.betti(q):
+                h = harmonic_basis(self.diff(q), self.diff(q - 1), self.gram(q), self.dim(q))
+                self._harmonic[q] = h
+                self._projectors[q] = mat_mul(h, orthogonal_projection(h, self.gram(q)))
         self._spec_plus = {}
+        self._coexact_det = {}
 
     def _validate(self):
         for i, (d, g) in enumerate(zip(self.dims, self.grams)):
@@ -146,8 +158,13 @@ class FiniteComplex:
 
     # -- exact structure ---------------------------------------------------
 
+    def rank(self, q):
+        """rank(D_q), formed once per complex; 0 outside the stored range."""
+        i = self.index(q)
+        return self._ranks[i] if 0 <= i < len(self._ranks) else 0
+
     def betti(self, q):
-        return self.dim(q) - rank(self.diff(q)) - rank(self.diff(q - 1))
+        return self.dim(q) - self.rank(q) - self.rank(q - 1)
 
     def is_acyclic(self):
         return all(self.betti(q) == 0 for q in self.degrees)
@@ -156,15 +173,39 @@ class FiniteComplex:
         return sum((-1) ** q * self.dim(q) for q in self.degrees)
 
     def harmonic_basis(self, q):
-        """Columns spanning ker D_q ∩ ker D*_{q-1}; exact."""
-        return harmonic_basis(self.diff(q), self.diff(q - 1), self.gram(q), self.dim(q))
+        """Columns spanning ker D_q ∩ ker D*_{q-1}; exact, formed once per complex."""
+        return self._harmonic.get(q) or [[] for _ in range(self.dim(q))]
 
     def harmonic_projection_of(self, q, vectors):
-        """Exact orthogonal projections of columns onto the harmonic subspace."""
-        h = self.harmonic_basis(q)
-        if not h or not h[0]:
+        """Exact orthogonal projections of columns onto the harmonic subspace.
+
+        The projector H (H^T G H)^(-1) H^T G is formed once per complex.
+        """
+        p = self._projectors.get(q)
+        if p is None:
             return [[] for _ in range(self.dim(q))]
-        return mat_mul(h, mat_mul(orthogonal_projection(h, self.gram(q)), vectors))
+        return mat_mul(p, vectors)
+
+    def coexact_det(self, q):
+        """det(D*_q D_q restricted to (ker D_q)-perp), exact; 1 when D_q = 0.
+
+        On a basis C of the coexact part this is det(C^T D^T G D C) / det(C^T G C).
+        Formed on first use.
+        """
+        if q in self._coexact_det:
+            return self._coexact_det[q]
+        out = Fraction(1)
+        if self.rank(q):
+            d, g = self.diff(q), self.gram(q)
+            ker = nullspace(d)
+            # rows spanning the coexact part: G-orthogonal to every kernel vector
+            basis = nullspace(mat_mul(ker, g)) if ker else identity(self.dim(q))
+            c = transpose(basis)
+            dc = mat_mul(d, c)
+            out = (det(mat_mul(transpose(dc), mat_mul(self.gram(q + 1), dc)))
+                   / det(mat_mul(basis, mat_mul(g, c))))
+        self._coexact_det[q] = out
+        return out
 
     # -- spectra -------------------------------------------------------------
 
@@ -177,7 +218,7 @@ class FiniteComplex:
         if q in self._spec_plus:
             return self._spec_plus[q]
         n = self.dim(q)
-        r = rank(self.diff(q))
+        r = self.rank(q)
         if n == 0 or r == 0:
             self._spec_plus[q] = []
             return []
@@ -284,8 +325,10 @@ def delta_spectrum(cx, q, a):
 
 
 def _guard_cutoff(spectra, lam):
+    if not math.isfinite(lam) or lam < 0:
+        raise ConstraintViolated(f"cutoff {lam} must be finite and nonnegative")
     # at lam = 0 the zero/positive split is pinned exactly by ranks
-    if lam <= 0:
+    if lam == 0:
         return
     for mu in spectra:
         if abs(mu - lam) <= _SPECTRAL_TOL * max(abs(mu), abs(lam)):
@@ -298,8 +341,6 @@ def zeta_prime_zero(cx, lam=0.0, n_labels=None, a=None):
     _check_exponents(cx, a)
     n_labels = list(n_labels) if n_labels is not None else default_n_labels(cx)
     _check_n_labels(cx, n_labels)
-    if lam < 0:
-        raise ConstraintViolated(f"cutoff {lam} must be nonnegative")
     total = 0.0
     for q in cx.degrees:
         mus = delta_spectrum(cx, q, a)
@@ -326,23 +367,24 @@ def zeta_at_zero(cx, lam=0.0, n_labels=None, a=None):
 def zeta_prime_zero_exact(cx, n_labels=None, a=None):
     """Exact oracle at lambda = 0: -sum (-1)^q N_q log det'(Delta_q).
 
-    The pseudo-determinants are computed over Q from the characteristic
-    polynomials of the exact Laplacian matrices; only the final log is float.
+    Delta_q is (D*_q D_q)^(a_q) on the coexact part and, by the spectrum
+    pairing, (D*_(q-1) D_(q-1))^(a_(q-1)) on the exact part, so
+    det'(Delta_q) = sdet_q^(a_q) sdet_(q-1)^(a_(q-1)) over Q; only the
+    final log is float.
     """
     a = list(a) if a is not None else default_exponents(cx)
     n_labels = list(n_labels) if n_labels is not None else default_n_labels(cx)
     _check_n_labels(cx, n_labels)
-    deltas, _ = laplacians(cx, a)
+    _check_exponents(cx, a)
     total = 0.0
     for q in cx.degrees:
-        dq = deltas[cx.index(q)]
-        if not dq:
-            continue
-        pd = pseudo_det(dq)
-        if pd < 0:
-            raise ConstraintViolated(f"pseudo-determinant at degree {q} is negative")
-        if pd != 0 and len(dq) > 0:
-            total -= (-1) ** q * n_labels[cx.index(q)] * math.log(float(pd))
+        i = cx.index(q)
+        pd = Fraction(1)
+        if i < len(a):
+            pd *= cx.coexact_det(q) ** a[i]
+        if i >= 1:
+            pd *= cx.coexact_det(q - 1) ** a[i - 1]
+        total -= (-1) ** q * n_labels[i] * math.log(float(pd))
     return total
 
 
@@ -410,27 +452,6 @@ def torsion_norm(cx, reference=None, lam=0.0, n_labels=None, a=None):
     )
 
 
-def _coexact_operator(cx, q):
-    """Matrix of D*_q D_q restricted to L^q = (ker D_q)-perp."""
-    n = cx.dim(q)
-    if n == 0 or rank(cx.diff(q)) == 0:
-        return None
-    ker_cols = nullspace(cx.diff(q))
-    if ker_cols:
-        kmat = columns_to_matrix(ker_cols, n)
-        perp_rows = mat_mul(transpose(kmat), cx.gram(q))
-        basis_cols = nullspace(perp_rows)
-    else:
-        basis_cols = [list(col) for col in transpose(identity(n))]
-    b = columns_to_matrix(basis_cols, n)
-    dstar_d = mat_mul(cx.adjoint(q), cx.diff(q))
-    image = mat_mul(dstar_d, b)
-    mrep = solve(b, image)
-    if mrep is None:
-        raise ConstraintViolated(f"coexact restriction failed at degree {q}")
-    return mrep
-
-
 def acyclic_torsion_squared(cx):
     """Exact square of the acyclic torsion: prod det(D*D|_L)^((-1)^(q+1))."""
     if not cx.is_acyclic():
@@ -438,10 +459,7 @@ def acyclic_torsion_squared(cx):
         raise NotAcyclic(f"nonzero cohomology in degrees {bad}")
     out = Fraction(1)
     for q in cx.degrees:
-        mrep = _coexact_operator(cx, q)
-        if mrep is None:
-            continue
-        out *= det(mrep) ** (-((-1) ** q))
+        out *= cx.coexact_det(q) ** (-((-1) ** q))
     return out
 
 
@@ -450,7 +468,7 @@ def acyclic_torsion(cx):
 
 
 def telescoping_check(cx, n_labels=None, a=None):
-    """prod det(Delta_q)^((-1)^q N_q) == sdet(D*D|_L)^(-kappa), exactly.
+    """prod det(Delta_q)^((-1)^q N_q) == acyclic_torsion_squared^kappa, exactly.
 
     Both sides are rational for an acyclic complex; equality is exact.
     """
@@ -467,13 +485,7 @@ def telescoping_check(cx, n_labels=None, a=None):
         if not dq:
             continue
         lhs *= Fraction(det(dq)) ** ((-1) ** q * n_labels[cx.index(q)])
-    rhs = Fraction(1)
-    for q in cx.degrees:
-        mrep = _coexact_operator(cx, q)
-        if mrep is None:
-            continue
-        rhs *= det(mrep) ** ((-1) ** q)
-    return lhs == rhs ** (-kappa)
+    return lhs == acyclic_torsion_squared(cx) ** kappa
 
 
 def euler_heat_trace(cx, a=None, t=1.0):

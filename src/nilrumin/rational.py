@@ -241,21 +241,6 @@ def charpoly(a):
     return coeffs
 
 
-def pseudo_det(a):
-    """Product of the nonzero eigenvalues of a diagonalizable matrix, exact.
-
-    Read off the characteristic polynomial: with p(x) = x^k q(x), q(0) != 0,
-    the product of nonzero roots is (-1)^deg(q) · q(0).
-    """
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    coeffs = charpoly(a)  # x^n + c1 x^(n-1) + ... + cn
-    low = next((j for j in range(n, -1, -1) if coeffs[j] != 0), None)
-    degree_q = low
-    return Fraction((-1) ** degree_q) * coeffs[low]
-
-
 def adjoint(a, gram_src, gram_dst):
     """Adjoint of a: (src, gram_src) -> (dst, gram_dst), i.e. G_src^-1 aT G_dst."""
     return mat_mul(inverse(gram_src), mat_mul(transpose(a), gram_dst))

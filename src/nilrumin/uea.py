@@ -329,11 +329,6 @@ def _sum_elements(uea, elements):
     return out
 
 
-def uea_multiply(u, v):
-    """PBW-normal product of two elements; AlgebraMismatch across algebras."""
-    return u * v
-
-
 def formal_adjoint(op, gram_source, gram_target):
     """Adjoint of op: (source, G_s) -> (target, G_t) with X_i* = -X_i.
 

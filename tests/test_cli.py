@@ -8,10 +8,14 @@ Claims:
       235 forms each metric's harmonic bases and projections once per degree
     - rumin reports on 235 and heisenberg5 are byte-identical to tests/golden/
     - torsion reads a complex file and honors --lambda/--N/--a
+    - torsion --check-invariance reports on three complexes are byte-identical
+      to tests/golden/, and form each harmonic basis and rank(D_q) once per
+      complex (the input and its dual)
     - nilgroup subcommands produce the documented lattice coordinates
     - validation errors exit 1 with the error name; parse errors exit 2;
-      sieve --jobs below 1 and char-orbit --words outside 1..10^6 are
-      validation errors
+      sieve --jobs below 1, char-orbit --words outside 1..10^6 and a
+      non-finite or negative --lambda are validation errors; a malformed
+      integer in --shape, --vector, --N or --a is a parse error naming the flag
 """
 
 import json
@@ -26,6 +30,24 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def invoke(*argv):
     return run(list(argv))
+
+
+def count_calls(monkeypatch, owners_and_names):
+    """Count calls of each function at every nilrumin binding of it."""
+    import sys
+
+    counts = {name: 0 for _, name in owners_and_names}
+    for owner, name in owners_and_names:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("nilrumin") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 class TestDeterminism:
@@ -139,23 +161,11 @@ class TestRumin:
     def test_check_forms_hodge_data_once_per_metric(self, monkeypatch):
         # 6 rumin_D calls on 235 (m = 5): one harmonic basis and one
         # projection per degree and metric, plus the reference metric's bases
-        import sys
-
         from nilrumin import rational, rumin_flat
 
-        counts = {"harmonic_basis": 0, "orthogonal_projection": 0, "rumin_D": 0}
-        for owner, name in ((rational, "harmonic_basis"),
-                            (rational, "orthogonal_projection"),
-                            (rumin_flat, "rumin_D")):
-            original = getattr(owner, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            for key, module in list(sys.modules.items()):
-                if key.startswith("nilrumin") and getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
+        counts = count_calls(monkeypatch, ((rational, "harmonic_basis"),
+                                           (rational, "orthogonal_projection"),
+                                           (rumin_flat, "rumin_D")))
         code, _ = invoke("rumin", "--preset", "235", "--check")
         assert code == 0
         assert counts["harmonic_basis"] <= 66
@@ -210,6 +220,38 @@ class TestTorsion:
         res = json.loads(out)["results"]
         assert abs(float(res["total"]) - 1 / 3) < 1e-12
         assert res["kappa"] == 2
+
+    @pytest.mark.parametrize("name", ["acyclic", "reference", "k121"])
+    def test_report_matches_golden(self, name):
+        # acyclic: k = (1,3,2,3,1); reference: non-acyclic with cocycles,
+        # k = (1,3,2,3,1); k121: k = (1,2,1) from degree -1
+        code, out = invoke("torsion", "--input", str(GOLDEN / f"torsion_{name}.input.json"),
+                           "--check-invariance", "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / f"torsion_{name}.json").read_text()
+
+    def test_check_forms_exact_invariants_once(self, monkeypatch):
+        from nilrumin import fd_torsion, rational
+        from nilrumin.io_formats import load_complex
+
+        path = str(GOLDEN / "torsion_reference.input.json")
+        cx, _, _ = load_complex(path)
+        dual = fd_torsion.dual_complex(cx)
+        harmonic_degrees = sum(1 for c in (cx, dual) for q in c.degrees if c.betti(q))
+        assert harmonic_degrees == 8
+        counts = count_calls(monkeypatch, ((rational, "harmonic_basis"), (rational, "rank")))
+        code, _ = invoke("torsion", "--input", path, "--check-invariance")
+        assert code == 0
+        assert counts["harmonic_basis"] == harmonic_degrees
+        assert counts["rank"] == len(cx.diffs) + len(dual.diffs)
+
+    @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "-1"])
+    def test_cutoff_must_be_finite_nonnegative(self, tmp_path, cutoff):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.complex_doc()))
+        code, out = invoke("torsion", "--input", str(path), f"--lambda={cutoff}")
+        assert code == 1
+        assert "ConstraintViolated" in out
 
 
 class TestNilgroup:
@@ -278,6 +320,21 @@ class TestErrors:
     def test_missing_input(self):
         code, out = invoke("cohomology")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("sieve", "--shape", "n1:a..b"), "--shape"),
+        (("sieve", "--vector", "2,x"), "--vector"),
+        (("torsion", "--N", "a,b"), "--N"),
+        (("torsion", "--a", "x"), "--a"),
+    ])
+    def test_bad_integer_list_names_flag(self, tmp_path, argv, flag):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dims": [1, 1], "differentials": [[["3"]]]}))
+        if argv[0] == "torsion":
+            argv = argv + ("--input", str(path))
+        code, out = invoke(*argv)
+        assert code == 2
+        assert "ParseError" in out and flag in out
 
     def test_bad_rational(self, tmp_path):
         path = tmp_path / "gram.json"

@@ -3,8 +3,11 @@
 Claims:
     - Laplacians respect the exponent constraint k_{q-1} a_{q-1} = k_q a_q,
       are Gram-self-adjoint positive semidefinite and commute with D
-    - zeta'_lambda(0) matches hand values and the exact pseudo-determinant
-      oracle at lambda = 0 to 1e-9 relative
+    - zeta'_lambda(0) matches hand values and the exact oracle at
+      lambda = 0 to 1e-9 relative; a cutoff that is not finite and
+      nonnegative is a ConstraintViolated in both zeta functions
+    - the exact oracle's det'(Delta_q) = sdet_q^(a_q) sdet_(q-1)^(a_(q-1))
+      equals sympy's pseudo-determinant of the Laplacian matrix exactly
     - torsion_norm is independent of lambda, of N shifts and of rescaling a
     - acyclic torsion equals torsion_norm on acyclic complexes (50 random)
     - telescoping identity holds exactly on squared values
@@ -20,6 +23,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilrumin.errors import (
     ConstraintViolated,
@@ -61,6 +67,16 @@ def close(x, y, tol=TOL):
 
 def two_term(c=Fraction(3)):
     return FiniteComplex(0, [1, 1], [[[c]]])
+
+
+def sympy_pseudo_det(m):
+    """Product of the nonzero eigenvalues of a diagonalizable matrix: with
+    charpoly x^k p(x), p(0) != 0, it is (-1)^deg(p) p(0)."""
+    if not m:
+        return Fraction(1)
+    coeffs = sympy.Matrix(m).charpoly(sympy.Symbol("x")).all_coeffs()
+    low = max(j for j, c in enumerate(coeffs) if c != 0)
+    return (-1) ** low * Fraction(str(coeffs[low]))
 
 
 class TestRange:
@@ -149,6 +165,28 @@ class TestZeta:
                 except CutoffOnSpectrum:
                     continue
                 assert close(val, base)
+
+    @pytest.mark.parametrize("zeta", [zeta_prime_zero, zeta_at_zero])
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, -math.inf])
+    def test_cutoff_must_be_finite_nonnegative(self, zeta, lam):
+        with pytest.raises(ConstraintViolated):
+            zeta(two_term(), lam=lam)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_laplacian_pseudo_det_is_coexact_product(self, seed, acyclic):
+        # the full Laplacian matrices stay the independent route
+        cx, _ = random_complex(random.Random(seed), acyclic=acyclic)
+        a = default_exponents(cx)
+        deltas, _ = laplacians(cx, a)
+        for q in cx.degrees:
+            i = cx.index(q)
+            expect = Fraction(1)
+            if i < len(a):
+                expect *= cx.coexact_det(q) ** a[i]
+            if i >= 1:
+                expect *= cx.coexact_det(q - 1) ** a[i - 1]
+            assert sympy_pseudo_det(deltas[i]) == expect
 
     def test_exact_oracle(self, rng):
         for _ in range(10):

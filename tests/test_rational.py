@@ -5,7 +5,6 @@ Claims:
     - solve returns exact solutions and detects inconsistency
     - det and charpoly agree with cofactor/eigen structure on small cases
     - every charpoly coefficient equals sympy's, rank-deficient inputs included
-    - pseudo_det multiplies the nonzero eigenvalues of diagonalizable matrices
     - no floating point can leak in: frac rejects floats
     - the Hodge helpers need no Gram inverse: harmonic_basis equals the kernel
       of [d_q; d*_{q-1}], and d^T G d = G (d* d), on CE complexes of 235 and
@@ -39,7 +38,6 @@ from nilrumin.rational import (
     mat_mul,
     mat_vec,
     nullspace,
-    pseudo_det,
     rank,
     solve,
     transpose,
@@ -140,12 +138,6 @@ class TestDeterminants:
         x = sympy.Symbol("x")
         expected = sympy.Matrix(a).charpoly(x).all_coeffs()
         assert charpoly(a) == [Fraction(str(c)) for c in expected]
-
-    def test_pseudo_det_diagonal(self):
-        a = [[Fraction(0), 0, 0], [0, Fraction(3), 0], [0, 0, Fraction(5)]]
-        a = [[frac(x) for x in row] for row in a]
-        assert pseudo_det(a) == 15
-        assert pseudo_det([[Fraction(0)]]) == 1  # empty product convention
 
     def test_positive_definite(self):
         assert is_positive_definite([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])

@@ -17,7 +17,7 @@ import pytest
 from nilrumin.errors import AlgebraMismatch
 from nilrumin.graded_lie import algebra_235, heisenberg
 from nilrumin.rational import mat_mul, inverse, transpose
-from nilrumin.uea import UEA, UEAOperatorMatrix, formal_adjoint, uea_multiply
+from nilrumin.uea import UEA, UEAOperatorMatrix, formal_adjoint
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ class TestMatrices:
     def test_algebra_mismatch(self, u235):
         other = UEA(heisenberg(1))
         with pytest.raises(AlgebraMismatch):
-            uea_multiply(u235.generator(0), other.generator(0))
+            u235.generator(0) * other.generator(0)
 
     def test_composition_records(self, u235):
         a = UEAOperatorMatrix(u235, [[u235.generator(0)], [u235.generator(1)]])
