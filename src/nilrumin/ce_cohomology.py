@@ -28,7 +28,6 @@ from .rational import (
     is_positive_definite,
     mat,
     mat_mul,
-    rank,
     transpose,
     zeros,
 )
@@ -123,17 +122,18 @@ class GradedInnerProduct:
         self._lambda_grams = {}
 
     def lambda_gram(self, q):
-        """Gram matrix of the induced inner product on Lambda^q g*."""
+        """Gram matrix of the induced inner product on Lambda^q g*: the minors
+        of the dual Gram, 0 unless I and J have the same multiset of degrees."""
         if q not in self._lambda_grams:
             basis = exterior_basis(self.algebra.dim, q)
             g = self.dual_gram
-            out = []
-            for I in basis:
-                row = []
-                for J in basis:
-                    row.append(det([[g[a][b] for b in J] for a in I]))
-                out.append(row)
-            self._lambda_grams[q] = out
+            degs = self.algebra.degrees
+            kinds = [sorted(degs[a] for a in I) for I in basis]
+            self._lambda_grams[q] = [
+                [det([[g[a][b] for b in J] for a in I]) if kinds[i] == kinds[j]
+                 else Fraction(0) for j, J in enumerate(basis)]
+                for i, I in enumerate(basis)
+            ]
         return self._lambda_grams[q]
 
     def det_gram(self):
@@ -193,40 +193,36 @@ class WeightedCohomology:
 def betti_and_weights(alg, inner=None):
     """Cohomology of the CE complex with grading weights and purity data.
 
-    Betti numbers and weight multisets are metric independent (the CE
-    differential preserves the total weight, so cohomology splits by weight);
-    the inner product only selects the harmonic representatives.
+    d, d* and the Lambda^q Grams of a graded metric preserve the total weight,
+    so the harmonic forms are found one (q, weight) block at a time; a block's
+    count is the multiplicity of its weight in H^q, which is metric
+    independent.  Column j of ``harmonic[q]`` has weight ``weights[q][j]``.
     """
     if inner is None:
         inner = identity_metric(alg)
     m = alg.dim
-    betti, weights, harmonic = [], [], []
-    d_prev = None
+    blocks = [_weight_blocks(alg, q) for q in range(-1, m + 2)]  # blocks[q + 1]: Lambda^q
+    weights, harmonic, d_prev = [], [], None
     for q in range(m + 1):
-        d_q = ce_differential(alg, q)
-        basis = exterior_basis(m, q)
-        wts = [weight_of(alg, I) for I in basis]
-        per_weight = []
-        for w in sorted(set(wts)):
-            cols_w = [i for i, x in enumerate(wts) if x == w]
-            sub_d = [[d_q[r][c] for c in cols_w] for r in range(len(d_q))] if d_q else []
-            ker_w = len(cols_w) - (rank(sub_d) if sub_d and cols_w else 0)
-            img_w = 0
-            if q > 0 and d_prev:
-                rows_w = cols_w
-                sub_prev = [[d_prev[r][c] for c in range(len(d_prev[0]))] for r in rows_w]
-                img_w = rank(sub_prev)
-            per_weight.extend([w] * (ker_w - img_w))
-        betti.append(len(per_weight))
-        weights.append(tuple(sorted(per_weight)))
-        harmonic.append(harmonic_basis(d_q, d_prev, inner.lambda_gram(q), len(basis)))
+        d_q, gram, n = ce_differential(alg, q), inner.lambda_gram(q), len(exterior_basis(m, q))
+        ws, cols = [], []
+        for w, idx in blocks[q + 1].items():
+            h = harmonic_basis(_block(d_q, blocks[q + 2].get(w, []), idx),
+                               _block(d_prev, idx, blocks[q].get(w, [])),
+                               _block(gram, idx, idx), len(idx))
+            for col in transpose(h):
+                where = dict(zip(idx, col))
+                cols.append([where.get(i, Fraction(0)) for i in range(n)])
+                ws.append(w)
+        weights.append(tuple(ws))
+        harmonic.append(columns_to_matrix(cols, n))
         d_prev = d_q
     pure = all(len(set(ws)) <= 1 for ws in weights)
     p = tuple(ws[0] for ws in weights) if pure and all(weights) else None
     k = tuple(p[q + 1] - p[q] for q in range(m)) if p is not None else None
     return WeightedCohomology(
         algebra=alg,
-        betti=tuple(betti),
+        betti=tuple(len(ws) for ws in weights),
         weights=tuple(weights),
         harmonic=harmonic,
         pure=pure,
@@ -234,6 +230,16 @@ def betti_and_weights(alg, inner=None):
         k=k,
         homogeneous_dimension=alg.homogeneous_dimension,
     )
+
+
+def _weight_blocks(alg, q):
+    """Indices of the Lambda^q basis by total weight, weights ascending."""
+    wts = [weight_of(alg, I) for I in exterior_basis(alg.dim, q)] if q >= 0 else []
+    return {w: [i for i, x in enumerate(wts) if x == w] for w in sorted(set(wts))}
+
+
+def _block(a, rows, cols):
+    return [[a[r][c] for c in cols] for r in rows]
 
 
 def hodge_decomposition(alg, inner, q):

@@ -23,9 +23,19 @@ from .errors import (
     DependentVectors,
     GradingViolation,
     JacobiViolation,
+    OutOfRange,
     ZeroScale,
 )
 from .rational import frac, inverse, mat_mul, mat_vec, rank
+
+# Lambda^5 of an 11-dimensional algebra has C(11, 5) = 462 forms; its
+# cohomology takes 1-2 minutes on a 2-CPU machine (heisenberg9: 2-3 s).
+MAX_DIMENSION = 11
+
+
+def _check_dimension(m):
+    if m > MAX_DIMENSION:
+        raise OutOfRange(f"algebra dimension {m} exceeds the limit {MAX_DIMENSION}")
 
 
 class GradedLieAlgebra:
@@ -33,6 +43,7 @@ class GradedLieAlgebra:
 
     def __init__(self, degrees, brackets, name=""):
         # brackets: {(i, j): {k: Fraction}} with i < j, 0-based, validated
+        _check_dimension(len(degrees))
         self.dim = len(degrees)
         self.degrees = tuple(int(d) for d in degrees)
         self.weights = tuple(-d for d in self.degrees)
@@ -150,6 +161,7 @@ def algebra_235():
 
 def heisenberg(n=1):
     """Heisenberg algebra h_{2n+1}: [X_{2i-1}, X_{2i}] = Z, degrees (-1,..,-1,-2)."""
+    _check_dimension(2 * n + 1)
     degrees = (-1,) * (2 * n) + (-2,)
     brackets = {(2 * i, 2 * i + 1): {2 * n: Fraction(1)} for i in range(n)}
     return build_algebra(degrees, brackets, name=f"heisenberg{2 * n + 1}")
@@ -159,6 +171,7 @@ def abelian(m, degree=-1):
     """Abelian algebra of dimension m concentrated in one degree."""
     if degree >= 0:
         raise GradingViolation(f"degree {degree} must be negative")
+    _check_dimension(m)
     return build_algebra((degree,) * m, {}, name=f"abelian:{m}:{degree}")
 
 

@@ -67,20 +67,25 @@ def algebra_from_dict(doc):
 
 
 def algebra_preset(name):
-    """Presets: 235, heisenberg3, heisenberg5, abelian:<m>[:<degree>]."""
+    """Presets: 235, heisenberg<2n+1>, abelian:<m>[:<degree>]."""
     if name == "235":
         return algebra_235()
     if name.startswith("heisenberg"):
-        total = int(name[len("heisenberg"):])
+        total = _preset_int(name, name[len("heisenberg"):])
         if total < 3 or total % 2 == 0:
             raise ParseError(f"heisenberg preset needs odd dimension >= 3, got {total}")
         return heisenberg((total - 1) // 2)
     if name.startswith("abelian:"):
-        parts = name.split(":")
-        m = int(parts[1])
-        degree = int(parts[2]) if len(parts) > 2 else -1
-        return abelian(m, degree)
+        m, sep, degree = name[len("abelian:"):].partition(":")
+        return abelian(_preset_int(name, m), _preset_int(name, degree) if sep else -1)
     raise ParseError(f"unknown preset {name!r}")
+
+
+def _preset_int(name, text):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"bad preset {name!r}: {exc}") from exc
 
 
 def load_algebra(path_or_preset):
@@ -111,20 +116,19 @@ def complex_from_dict(doc):
         dims = [int(x) for x in doc["dims"]]
         diffs = [[[parse_rational(x) for x in row] for row in mtx]
                  for mtx in doc["differentials"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        grams = None
+        if doc.get("grams") is not None:
+            grams = [[[parse_rational(x) for x in row] for row in g] for g in doc["grams"]]
+        k = [int(x) for x in doc["k"]] if "k" in doc else None
+        reference = None
+        if "reference" in doc:
+            reference = {
+                int(q): [[parse_rational(x) for x in v] for v in vecs]
+                for q, vecs in doc["reference"].items()
+            }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad complex document: {exc}") from exc
-    grams = None
-    if "grams" in doc and doc["grams"] is not None:
-        grams = [[[parse_rational(x) for x in row] for row in g] for g in doc["grams"]]
-    k = [int(x) for x in doc["k"]] if "k" in doc else None
-    cx = FiniteComplex(min_degree, dims, diffs, grams, k)
-    reference = None
-    if "reference" in doc:
-        reference = {
-            int(q): [[parse_rational(x) for x in v] for v in vecs]
-            for q, vecs in doc["reference"].items()
-        }
-    return cx, reference
+    return FiniteComplex(min_degree, dims, diffs, grams, k), reference
 
 
 def load_complex(path):

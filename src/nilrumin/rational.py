@@ -52,25 +52,6 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, s):
-    s = frac(s)
-    return [[s * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
-
-
 def _integer_rows(a):
     """Scale each row by the lcm of denominators; kernels and row spaces are unchanged."""
     out = []
@@ -242,8 +223,11 @@ def charpoly(a):
 
 
 def adjoint(a, gram_src, gram_dst):
-    """Adjoint of a: (src, gram_src) -> (dst, gram_dst), i.e. G_src^-1 aT G_dst."""
-    return mat_mul(inverse(gram_src), mat_mul(transpose(a), gram_dst))
+    """Adjoint of a: (src, gram_src) -> (dst, gram_dst), i.e. G_src^-1 aT G_dst,
+    solved with no inverse formed; [] for an empty a, as mat_mul gives."""
+    if not a or not a[0]:
+        return []
+    return solve(gram_src, mat_mul(transpose(a), gram_dst))
 
 
 def harmonic_basis(d_q, d_prev, gram_q, n):

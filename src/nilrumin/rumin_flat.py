@@ -18,7 +18,8 @@ act on each column of L separately, and the ansatz is the same for every
 column: one column block is solved with the b_q columns of the identity as
 right-hand sides, and the solution is unique when that block has full column
 rank.  The Rumin differential is D = pi d L; purity of the cohomology makes
-its Heisenberg order equal to p_{q+1} - p_q.
+its Heisenberg order equal to p_{q+1} - p_q.  ``expressed_over`` rewrites D
+in another metric's harmonic basis, where metric independence is equality.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class RuminComplex:
     cohomology: object
     L: list            # per q: UEA matrix, Lambda^q rows x b_q columns
     D: list            # per q in 0..m-1: UEA matrix, b_{q+1} x b_q
-    harmonic: list     # per q: harmonic basis matrix of the metric
     orders: tuple      # attained Heisenberg order of each D_q
+    d_ops: list        # invariant de Rham d_q the splitting was solved with
+    deltas: dict       # Kostant delta_q of the metric, q = 1..m
 
     @property
     def p(self):
@@ -114,12 +116,13 @@ class RuminComplex:
 def solve_splitting_L(alg, inner, uea=None, max_extra=None):
     """Solve the defining conditions of the splitting operator L for all q.
 
-    Returns (L, coh, d_ops, pis): the per-degree L_q, the cohomology of
-    ``inner``, the invariant de Rham operators and the harmonic projections
-    pi_q, formed once per degree from ``coh.harmonic``.  Raises NotPure when
-    the cohomology is not pure, and AnsatzInsufficient when no unique
-    solution exists within the homogeneity ansatz even after raising the
-    per-component order bound up to the homogeneous dimension.
+    Returns (L, coh, d_ops, deltas, pis): the per-degree L_q, the cohomology
+    of ``inner``, the invariant de Rham operators, the Kostant codifferentials
+    and the harmonic projections pi_q, formed once per degree from
+    ``coh.harmonic``.  Raises NotPure when the cohomology is not pure, and
+    AnsatzInsufficient when no unique solution exists within the homogeneity
+    ansatz even after raising the per-component order bound up to the
+    homogeneous dimension.
     """
     uea = uea or UEA(alg)
     coh = betti_and_weights(alg, inner)
@@ -149,7 +152,7 @@ def solve_splitting_L(alg, inner, uea=None, max_extra=None):
             raise AnsatzInsufficient(
                 f"no unique splitting in degree {q} within order bound +{max_extra}"
             )
-    return L, coh, d_ops, pis
+    return L, coh, d_ops, deltas, pis
 
 
 def _solve_L_degree(alg, uea, coh, blocks, q, extra):
@@ -207,30 +210,16 @@ def _solve_L_degree(alg, uea, coh, blocks, q, extra):
     return UEAOperatorMatrix(uea, [[uea.element(e) for e in row] for row in entries])
 
 
-def rumin_D(alg, inner, reference_inner=None):
+def rumin_D(alg, inner):
     """The Rumin complex D = pi d L for all degrees.
 
     D_q = pi_{q+1} d_q L_q, with the projections solve_splitting_L formed
-    from the harmonic bases of ``betti_and_weights``.  The matrices act
-    between the cohomology spaces in the harmonic basis of
-    ``reference_inner`` (default: ``inner`` itself); expressing two metrics'
-    complexes over a common reference exhibits metric independence as exact
-    matrix equality.
+    from the harmonic bases of ``betti_and_weights``; the matrices act
+    between the cohomology spaces in the harmonic basis of ``inner``.
     """
     uea = UEA(alg)
-    L, coh, d_ops, pis = solve_splitting_L(alg, inner, uea)
-    m = alg.dim
-    D = [pis[q + 1] @ (d_ops[q] @ L[q]) for q in range(m)]
-    harms = coh.harmonic
-    if reference_inner is not None:
-        hrefs = betti_and_weights(alg, reference_inner).harmonic
-        c_mats = [
-            quotient_coordinates(alg, hrefs[q], q, harms[q])
-            for q in range(m + 1)
-        ]
-        D = [c_mats[q + 1] @ (D[q] @ inverse(c_mats[q])) for q in range(m)]
-        harms = hrefs
-    orders = tuple(dq.order() for dq in D)
+    L, coh, d_ops, deltas, pis = solve_splitting_L(alg, inner, uea)
+    D = [pis[q + 1] @ (d_ops[q] @ L[q]) for q in range(alg.dim)]
     return RuminComplex(
         algebra=alg,
         inner=inner,
@@ -238,29 +227,33 @@ def rumin_D(alg, inner, reference_inner=None):
         cohomology=coh,
         L=L,
         D=D,
-        harmonic=harms,
-        orders=orders,
+        orders=tuple(dq.order() for dq in D),
+        d_ops=d_ops,
+        deltas=deltas,
     )
 
 
-def quotient_coordinates(alg, href, q, columns_matrix):
-    """Coordinates of cocycle columns in H^q = ker d / img d, with the basis
-    induced by the harmonic representatives ``href`` (columns) of a
-    reference metric."""
-    img = ce_differential(alg, q - 1) if q > 0 else None
-    img_cols = column_space(img) if img else []
-    # solve [href | img] * (c, w) = columns; [href | img] has full column
-    # rank (harmonic forms are orthogonal to img d), so c is unique
-    system = [row + [col[i] for col in img_cols] for i, row in enumerate(href)]
-    sol = solve(system, columns_matrix)
-    if sol is None:
-        raise NotPure("column is not a cocycle of the expected class")
-    return sol[:len(href[0])]
+def expressed_over(rc, ref):
+    """The differentials D_q of ``rc`` in the harmonic basis of ``ref``, a
+    complex of the same algebra: C_{q+1} D_q C_q^-1, where C_q takes rc's
+    coordinates in H^q = ker d / img d to ref's."""
+    alg = rc.algebra
+    c_mats = []
+    for q in range(alg.dim + 1):
+        href = ref.cohomology.harmonic[q]
+        img = column_space(ce_differential(alg, q - 1))
+        # [href | img d] has full column rank (harmonic forms are orthogonal
+        # to img d), so the coordinates c in href are unique
+        sol = solve([row + [col[i] for col in img] for i, row in enumerate(href)],
+                    rc.cohomology.harmonic[q])
+        if sol is None:
+            raise NotPure("column is not a cocycle of the expected class")
+        c_mats.append(sol[:len(href[0])])
+    return [c_mats[q + 1] @ (rc.D[q] @ inverse(c_mats[q])) for q in range(alg.dim)]
 
 
-def gr_equals_ce(alg):
-    """Order-0 part of the invariant de Rham differential equals the CE one."""
-    d_ops = invariant_de_rham(alg)
+def gr_equals_ce(alg, d_ops):
+    """Order-0 part of the invariant de Rham differential d_ops equals the CE one."""
     for q in range(alg.dim):
         if d_ops[q].order_zero_part() != ce_differential(alg, q):
             return False
@@ -272,8 +265,8 @@ def star_on_cohomology(alg, inner, rc, q, orientation=1):
     as a b_{m-q} x b_q matrix between harmonic-basis coordinates."""
     m = alg.dim
     st = star(alg, inner, q, orientation)
-    image = mat_mul(st.matrix, rc.harmonic[q])
-    target = rc.harmonic[m - q]
+    image = mat_mul(st.matrix, rc.cohomology.harmonic[q])
+    target = rc.cohomology.harmonic[m - q]
     coords = solve(target, image)
     if coords is None:
         raise NotPure(f"star image of harmonic {q}-forms is not harmonic")
@@ -294,7 +287,7 @@ def star_duality_check(rc, orientation=1):
     """
     alg, inner = rc.algebra, rc.inner
     m = alg.dim
-    grams = [harmonic_gram(alg, inner, rc.harmonic[q], q) for q in range(m + 1)]
+    grams = [harmonic_gram(alg, inner, h, q) for q, h in enumerate(rc.cohomology.harmonic)]
     stars = [star_on_cohomology(alg, inner, rc, q, orientation) for q in range(m + 1)]
     report = {"degrees": {}, "orders_palindromic": None, "all_hold": True}
     k = rc.k

@@ -5,7 +5,8 @@ coexact per degree, the differential an identity block) conjugated by random
 integer changes of basis, so ranks and cohomology are known by construction
 and every matrix stays exact.  Random graded algebras draw from the validated
 families (abelian, Heisenberg, scaled (2,3,5), filiform) twisted by random
-graded automorphisms.
+graded automorphisms.  The small matrix helpers (zero test, difference,
+scaling) are used by the tests only.
 """
 
 from __future__ import annotations
@@ -24,6 +25,18 @@ from nilrumin.graded_lie import (
     heisenberg,
 )
 from nilrumin.rational import det, identity, inverse, mat_mul, transpose, zeros
+
+
+def is_zero_matrix(a):
+    return all(x == 0 for row in a for x in row)
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, s):
+    return [[s * x for x in row] for row in a]
 
 
 def random_invertible(rng, n, spread=2):

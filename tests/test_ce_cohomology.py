@@ -4,6 +4,10 @@ Claims:
     - the CE differential dualizes the bracket table with the fixed sign
       convention and squares to zero for every validated algebra
     - Betti numbers, weight multisets and purity: (2,3,5), h3, abelian
+    - the per-weight harmonic bases equal the dense kernel of
+      [d_q; d_{q-1}^T G_q] exactly on pure algebras, and as a set of columns,
+      grouped by weight, on a non-pure one; the Lambda^q Gram equals the Gram
+      of all minors of the dual Gram
     - purity data is metric independent (20 random graded inner products)
     - Hodge decompositions are orthogonal with the expected dimensions
     - the star operator satisfies its defining wedge identity, is isometric,
@@ -33,21 +37,19 @@ from nilrumin.ce_cohomology import (
     weight_of,
 )
 from nilrumin.errors import NotPositiveDefinite
-from nilrumin.graded_lie import abelian, algebra_235, heisenberg
+from nilrumin.graded_lie import abelian, algebra_235, build_algebra, heisenberg
 from nilrumin.purity_sieve import DimensionVector, poincare_polynomial
 from nilrumin.rational import (
     adjoint,
     det,
+    harmonic_basis,
     identity,
     inverse,
-    is_zero_matrix,
-    mat_eq,
     mat_mul,
-    mat_scale,
     rank,
     transpose,
 )
-from conftest import random_graded_algebra
+from conftest import is_zero_matrix, mat_scale, random_graded_algebra
 
 
 def lambda_index(m, q):
@@ -172,6 +174,55 @@ class TestBettiAndWeights:
             assert coh.weight_euler_polynomial() == poincare_polynomial(dv)
 
 
+def _dense_harmonic(alg, inner, q):
+    n = len(exterior_basis(alg.dim, q))
+    d_prev = ce_differential(alg, q - 1) if q > 0 else None
+    return harmonic_basis(ce_differential(alg, q), d_prev, inner.lambda_gram(q), n)
+
+
+def _metrics(alg, rng):
+    return (identity_metric(alg), random_graded_inner_product(alg, rng),
+            random_graded_inner_product(alg, rng))
+
+
+class TestWeightBlocks:
+    @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
+                                      lambda: heisenberg(2), lambda: heisenberg(3),
+                                      lambda: abelian(4, -2)],
+                             ids=["235", "heisenberg3", "heisenberg5", "heisenberg7",
+                                  "abelian4"])
+    def test_pure_equals_dense(self, make, rng):
+        alg = make()
+        for inner in _metrics(alg, rng):
+            coh = betti_and_weights(alg, inner)
+            assert coh.pure
+            for q in range(alg.dim + 1):
+                assert coh.harmonic[q] == _dense_harmonic(alg, inner, q)
+
+    def test_non_pure_same_columns_grouped_by_weight(self, rng):
+        alg = build_algebra((-1, -1, -2, -3), {(0, 1): {2: 1}, (0, 2): {3: 1}})
+        for inner in _metrics(alg, rng):
+            coh = betti_and_weights(alg, inner)
+            assert coh.weights == ((0,), (1, 1), (3, 4), (6, 6), (7,))
+            for q in range(alg.dim + 1):
+                cols = transpose(coh.harmonic[q])
+                dense = transpose(_dense_harmonic(alg, inner, q))
+                assert sorted(map(tuple, cols)) == sorted(map(tuple, dense))
+                basis = exterior_basis(alg.dim, q)
+                for col, w in zip(cols, coh.weights[q]):
+                    assert all(x == 0 for x, I in zip(col, basis) if weight_of(alg, I) != w)
+
+    def test_lambda_gram_equals_all_minors(self, rng):
+        for alg in (algebra_235(), heisenberg(2), random_graded_algebra(rng)):
+            inner = random_graded_inner_product(alg, rng)
+            g = inner.dual_gram
+            for q in range(alg.dim + 1):
+                basis = exterior_basis(alg.dim, q)
+                minors = [[det([[g[a][b] for b in J] for a in I]) for J in basis]
+                          for I in basis]
+                assert inner.lambda_gram(q) == minors
+
+
 class TestHodge:
     @pytest.mark.parametrize("q,dims", [(1, (0, 2, 3)), (2, (3, 3, 4))])
     def test_235_dimensions(self, q, dims):
@@ -222,7 +273,7 @@ class TestStar:
         for q in range(6):
             prod = star(alg, inner, 5 - q).compose_with(star(alg, inner, q))
             sign = (-1) ** (q * (5 - q))
-            assert mat_eq(prod, mat_scale(identity(len(prod)), sign))
+            assert prod == mat_scale(identity(len(prod)), sign)
 
     def test_isometry_random_metric(self, rng):
         alg = algebra_235()
@@ -231,7 +282,7 @@ class TestStar:
             st = star(alg, inner, q)
             adj = star_adjoint_rational(alg, inner, st)
             prod = mat_scale(mat_mul(adj, st.matrix), st.det_scale)
-            assert mat_eq(prod, identity(len(prod)))
+            assert prod == identity(len(prod))
 
     def test_defining_wedge_identity(self, rng):
         from nilrumin.ce_cohomology import merge_sign
@@ -266,7 +317,7 @@ class TestStar:
                 rhs = mat_scale(
                     mat_mul(inverse(star(alg, inner, q - 1).matrix), mid), (-1) ** q
                 )
-                assert mat_eq(dstar, rhs)
+                assert dstar == rhs
 
 
 class TestDualityPairing:

@@ -5,7 +5,7 @@ Claims:
     - the 235 cohomology report carries b, p, k and n = 10
     - family and shape sieve runs emit the documented CSV columns
     - rumin --check exits 0 with every symbolic identity passing, and on
-      235 forms each metric's harmonic bases and projections once per degree
+      235 forms each metric's Hodge data, d and delta once (6 metrics)
     - rumin reports on 235 and heisenberg5 are byte-identical to tests/golden/
     - torsion reads a complex file and honors --lambda/--N/--a
     - torsion --check-invariance reports on three complexes are byte-identical
@@ -16,9 +16,13 @@ Claims:
       sieve --jobs below 1, char-orbit --words outside 1..10^6 and a
       non-finite or negative --lambda are validation errors; a malformed
       integer in --shape, --vector, --N or --a is a parse error naming the flag
+    - a malformed preset name, a non-integer k or a non-integer reference
+      degree in a complex file is a parse error; an algebra above
+      MAX_DIMENSION, preset or file, is OutOfRange at once
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -159,16 +163,21 @@ class TestRumin:
         assert all(checks.values())
 
     def test_check_forms_hodge_data_once_per_metric(self, monkeypatch):
-        # 6 rumin_D calls on 235 (m = 5): one harmonic basis and one
-        # projection per degree and metric, plus the reference metric's bases
-        from nilrumin import rational, rumin_flat
+        # 6 rumin_D calls on 235 (m = 5), one per metric: each forms its
+        # metric's Hodge data, d and delta once, and the checks reuse the
+        # complex they check
+        from nilrumin import ce_cohomology, rational, rumin_flat
 
-        counts = count_calls(monkeypatch, ((rational, "harmonic_basis"),
+        counts = count_calls(monkeypatch, ((ce_cohomology, "betti_and_weights"),
                                            (rational, "orthogonal_projection"),
+                                           (rumin_flat, "invariant_de_rham"),
+                                           (rumin_flat, "kostant_delta"),
                                            (rumin_flat, "rumin_D")))
         code, _ = invoke("rumin", "--preset", "235", "--check")
         assert code == 0
-        assert counts["harmonic_basis"] <= 66
+        assert counts["betti_and_weights"] == 6
+        assert counts["kostant_delta"] == 6
+        assert counts["invariant_de_rham"] == 6
         assert counts["orthogonal_projection"] <= 36
         assert counts["rumin_D"] == 6
 
@@ -335,6 +344,44 @@ class TestErrors:
         code, out = invoke(*argv)
         assert code == 2
         assert "ParseError" in out and flag in out
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", ["x"]),
+        ("reference", {"zero": [["1"]]}),
+    ])
+    def test_bad_complex_field_exit_two(self, tmp_path, field, value):
+        doc = {"dims": [1, 1], "differentials": [[["3"]]], field: value}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out = invoke("torsion", "--input", str(path))
+        assert code == 2
+        assert "ParseError" in out
+
+    @pytest.mark.parametrize("preset", ["heisenbergx", "abelian:x", "abelian:3:",
+                                        "abelian:3:-1:2"])
+    def test_malformed_preset_exit_two(self, preset):
+        code, out = invoke("cohomology", "--preset", preset)
+        assert code == 2
+        assert "ParseError" in out
+
+    @pytest.mark.parametrize("preset", ["heisenberg100001", "abelian:100000",
+                                        "heisenberg10000000000001"])
+    def test_oversized_preset_exit_one_at_once(self, preset):
+        start = time.perf_counter()
+        code, out = invoke("rumin", "--preset", preset)
+        assert code == 1
+        assert "OutOfRange" in out
+        assert time.perf_counter() - start < 2
+
+    def test_oversized_algebra_file_exit_one(self, tmp_path):
+        from nilrumin.graded_lie import MAX_DIMENSION
+
+        m = MAX_DIMENSION + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": m, "degrees": [-1] * m, "brackets": []}))
+        code, out = invoke("cohomology", "--algebra", str(path))
+        assert code == 1
+        assert "OutOfRange" in out
 
     def test_bad_rational(self, tmp_path):
         path = tmp_path / "gram.json"

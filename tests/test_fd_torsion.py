@@ -55,8 +55,8 @@ from nilrumin.fd_torsion import (
     zeta_prime_zero,
     zeta_prime_zero_exact,
 )
-from nilrumin.rational import is_zero_matrix, mat_mul, mat_sub, transpose
-from conftest import random_complex
+from nilrumin.rational import mat_mul, transpose
+from conftest import is_zero_matrix, mat_sub, random_complex
 
 TOL = 1e-9
 

@@ -1,7 +1,8 @@
 """Graded Lie algebra construction and automorphisms.
 
 Claims:
-    - build_algebra accepts the (2,3,5), Heisenberg and abelian tables
+    - build_algebra accepts the (2,3,5), Heisenberg and abelian tables, up
+      to MAX_DIMENSION (heisenberg9 included) and no further
     - each broken axiom raises exactly the matching named error
     - grading automorphisms compose multiplicatively: phi_t phi_s = phi_ts
     - the generator automorphism of the (2,3,5) algebra matches the forced
@@ -19,9 +20,11 @@ from nilrumin.errors import (
     DependentVectors,
     GradingViolation,
     JacobiViolation,
+    OutOfRange,
     ZeroScale,
 )
 from nilrumin.graded_lie import (
+    MAX_DIMENSION,
     GradedAutomorphism,
     abelian,
     algebra_235,
@@ -31,7 +34,6 @@ from nilrumin.graded_lie import (
     heisenberg,
     is_generic_plane,
 )
-from nilrumin.rational import mat_eq, mat_mul
 
 
 class TestBuildAlgebra:
@@ -52,6 +54,15 @@ class TestBuildAlgebra:
         alg = heisenberg(1)
         assert alg.degrees == (-1, -1, -2)
         assert alg.bracket(0, 1) == {2: Fraction(1)}
+
+    def test_dimension_bound(self):
+        assert heisenberg(4).dim == 9 <= MAX_DIMENSION
+        assert abelian(MAX_DIMENSION).dim == MAX_DIMENSION
+        for build in (lambda: abelian(MAX_DIMENSION + 1),
+                      lambda: heisenberg(MAX_DIMENSION // 2 + 1),
+                      lambda: build_algebra((-1,) * (MAX_DIMENSION + 1), {})):
+            with pytest.raises(OutOfRange):
+                build()
 
     def test_grading_violation(self):
         with pytest.raises(GradingViolation) as exc:
@@ -133,7 +144,7 @@ class TestGradingAutomorphism:
         s, t = Fraction(2, 3), Fraction(-5, 7)
         lhs = grading_automorphism(alg, t).compose(grading_automorphism(alg, s))
         rhs = grading_automorphism(alg, t * s)
-        assert mat_eq(lhs.matrix, rhs.matrix)
+        assert lhs.matrix == rhs.matrix
 
     def test_zero_scale(self):
         with pytest.raises(ZeroScale):
@@ -174,7 +185,7 @@ class TestGeneratorAutomorphism:
             phi.apply(psi.apply([1, 0, 0, 0, 0])),
             phi.apply(psi.apply([0, 1, 0, 0, 0])),
         )
-        assert mat_eq(composite.matrix, direct.matrix)
+        assert composite.matrix == direct.matrix
 
     def test_degenerate_generators(self):
         with pytest.raises(DegenerateGenerators):

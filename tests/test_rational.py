@@ -6,6 +6,8 @@ Claims:
     - det and charpoly agree with cofactor/eigen structure on small cases
     - every charpoly coefficient equals sympy's, rank-deficient inputs included
     - no floating point can leak in: frac rejects floats
+    - adjoint equals G_src^-1 a^T G_dst without forming the inverse, empty
+      shapes included
     - the Hodge helpers need no Gram inverse: harmonic_basis equals the kernel
       of [d_q; d*_{q-1}], and d^T G d = G (d* d), on CE complexes of 235 and
       heisenberg5 with random graded metrics and on random finite complexes
@@ -42,7 +44,7 @@ from nilrumin.rational import (
     solve,
     transpose,
 )
-from conftest import random_complex
+from conftest import random_complex, random_pos_def
 
 small = st.integers(min_value=-6, max_value=6)
 entries = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -166,6 +168,16 @@ def _stacked_reference(d_q, d_prev, gram_prev, gram_q, n):
     if not rows:
         return identity(n)
     return columns_to_matrix(nullspace(rows), n)
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("n_src,n_dst", [(0, 3), (3, 0), (0, 0), (1, 1), (3, 2), (4, 5)])
+    def test_equals_inverse_formula(self, n_src, n_dst, rng):
+        for _ in range(5):
+            a = rand_matrix(rng, n_dst, n_src)
+            gram_src, gram_dst = random_pos_def(rng, n_src), random_pos_def(rng, n_dst)
+            assert adjoint(a, gram_src, gram_dst) == mat_mul(
+                inverse(gram_src), mat_mul(transpose(a), gram_dst))
 
 
 class TestHodgeWithoutInverse:
