@@ -169,24 +169,35 @@ def _sieve_rows(args):
         n_min = args.n_min if args.n_min is not None else n_tail
         if args.n_max is None:
             raise ParseError("--family needs --n-max")
-        rows = []
-        for n in range(max(n_min, n_tail), args.n_max + 1):
-            dv = purity_sieve.family_vector(args.family, n)
-            roots = purity_sieve.integral_roots(dv)
-            rows.append({
-                "vector": list(dv.parts),
-                "n": dv.n,
-                "d": dv.d,
-                "nonzero_count": dv.n + 1 - len(roots),
-                "pass": len(roots) == dv.n - dv.d,
-                "roots": roots,
-            })
-        return rows
+        if args.n_max > purity_sieve.FAMILY_N_MAX:
+            raise OutOfRange(f"--n-max {args.n_max} is above FAMILY_N_MAX = "
+                             f"{purity_sieve.FAMILY_N_MAX}")
+        vectors = (purity_sieve.family_vector(args.family, n)
+                   for n in range(max(n_min, n_tail), args.n_max + 1))
+        return [_roots_row(dv, purity_sieve.integral_roots(dv)) for dv in vectors]
     if args.shape:
         ranges = _parse_shape(args.shape)
+        if args.emit_p:
+            # every row is expanded: bound the largest n of the shape up front
+            purity_sieve.check_report_degree(
+                sum(p * hi for p, (_, hi) in enumerate(ranges, start=1)))
         passing = purity_sieve.sieve_range(ranges, jobs=args.jobs)
-        return [_report_row(purity_sieve.lemma2_check(dv), args.emit_p) for dv in passing]
+        if args.emit_p:
+            return [_report_row(purity_sieve.lemma2_check(dv), True) for dv, _ in passing]
+        return [_roots_row(dv, roots) for dv, roots in passing]
     raise ParseError("need --vector, --family or --shape")
+
+
+def _roots_row(dv, roots):
+    """A report row from the integral zeros of c alone, without expanding P."""
+    return {
+        "vector": list(dv.parts),
+        "n": dv.n,
+        "d": dv.d,
+        "nonzero_count": dv.n + 1 - len(roots),
+        "pass": len(roots) == dv.n - dv.d,
+        "roots": roots,
+    }
 
 
 def _report_row(report, emit_p):
@@ -313,7 +324,9 @@ def _run_torsion(args):
         "lambda": result.cutoff,
     }
     if args.check_invariance:
-        results["checks"] = _torsion_checks(cx, ref, exponents)
+        # at lambda = 0 with the default labels the report is the checks' base
+        base = result if lam == 0 and n_labels is None else None
+        results["checks"] = _torsion_checks(cx, ref, exponents, base)
     doc = report_document("torsion", digest, results)
     code = 0
     if args.check_invariance and not all(results["checks"].values()):
@@ -321,10 +334,11 @@ def _run_torsion(args):
     return code, render_report(doc, args.format)
 
 
-def _torsion_checks(cx, ref, exponents):
+def _torsion_checks(cx, ref, exponents, base):
     tol = 1e-9
     a = exponents or fd_torsion.default_exponents(cx)
-    base = fd_torsion.torsion_norm(cx, ref, lam=0.0, a=a)
+    if base is None:
+        base = fd_torsion.torsion_norm(cx, ref, lam=0.0, a=a)
     checks = {}
     spectra = sorted(
         mu for q in cx.degrees for mu in fd_torsion.delta_spectrum(cx, q, a)

@@ -16,10 +16,13 @@ equivalently the degree-(n-d) polynomial
 has n - d mutually different integral zeros in {0, ..., n}; the coefficient of
 (-t)^i in P is d!/(i!(n-i)!) * c(i).
 
-Range scans work coefficient-wise: P mod a fixed prime is expanded
-incrementally in n_1 (multiplying by (1 - t) is one vectorized subtract), a
-count of nonzero residues > d + 1 disproves purity outright, and the rare
-candidates are confirmed by an exact big-integer expansion.
+Range scans work coefficient-wise on blocks of tails (n_2, ..., n_r): one
+int64 matrix holds P mod a fixed prime for every tail of the block, formed
+from 1 by vectorized (1 - t^q) subtracts; one more subtract multiplies all
+its rows by (1 - t) to step n_1, and a row with more than d + 1 nonzero
+residues disproves purity outright.  The
+rare candidates are confirmed exactly by the integral zeros of c, and those
+zeros are the report's roots: a scan never expands P over Z.
 """
 
 from __future__ import annotations
@@ -27,13 +30,21 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from itertools import count
+from math import factorial, isqrt, prod
+from operator import mul
 
 import numpy as np
 
 from .errors import EmptyRange, OutOfRange
 
 _PRIME = (1 << 31) - 1  # Mersenne; products of residues fit in int64
+SCREEN_BLOCK_CELLS = 1 << 15  # int64 cells per screen buffer; a block uses three (768 KiB)
+
+# Input bounds, checked before any tail list or coefficient is formed.
+SCREEN_WORK_MAX = 10**8  # tails x (n1_max + 1) x width: one tail up to n = 10^4
+FAMILY_N_MAX = 10**4     # largest homogeneous dimension of a family run
+VECTOR_N_MAX = 4000      # largest homogeneous dimension of one expanded report
 
 
 @dataclass(frozen=True)
@@ -74,13 +85,16 @@ def _expand_parts(parts):
     for p, np_ in enumerate(parts, start=1):
         if np_ == 0:
             continue
-        # sparse factor (1 - t^p)^(n_p) = sum_k (-1)^k C(n_p, k) t^(pk)
-        factor = {p * k: (-1) ** k * comb(np_, k) for k in range(np_ + 1)}
+        # sparse factor (1 - t^p)^(n_p) = sum_k (-1)^k C(n_p, k) t^(pk), with
+        # C(n, k + 1) = C(n, k) (n - k) / (k + 1)
         out = [0] * (len(coeffs) + p * np_)
-        for shift, c in factor.items():
+        c = 1
+        for k in range(np_ + 1):
+            shift = p * k
             for i, x in enumerate(coeffs):
                 if x:
                     out[i + shift] += c * x
+            c = -c * (np_ - k) // (k + 1)
         coeffs = out
     return coeffs
 
@@ -100,18 +114,23 @@ def a_coefficients(dv):
     return coeffs
 
 
-def q_l(dv, l, i):
-    """Q_l(i) = prod_{j=0}^{l-1}(j-i) * prod_{j=d+l+1}^{n}(j-i), exact."""
-    d, n = dv.d, dv.n
-    return prod(j - i for j in range(l)) * prod(j - i for j in range(d + l + 1, n + 1))
-
-
 def c_value(dv, i):
     """c(i) = sum_l a_l Q_l(i); integer for 0 <= i <= n."""
     if not 0 <= i <= dv.n:
         raise OutOfRange(f"i = {i} outside 0..{dv.n}")
-    a = a_coefficients(dv)
-    return sum(a[l] * q_l(dv, l, i) for l in range(len(a)))
+    return _c_horner(dv, a_coefficients(dv), i)
+
+
+def _c_horner(dv, a, i):
+    """c(i) in O(n - d) exact products: with e = n - d, S_e = 1 and
+    S_l = (d + l + 1 - i) S_{l+1} = prod_{j=d+l+1}^{n} (j - i),
+    T_e = a_e and T_l = a_l S_l + (l - i) T_{l+1}, c(i) = T_0."""
+    d, e = dv.d, dv.n - dv.d
+    s, t = 1, a[e]
+    for l in range(e - 1, -1, -1):
+        s *= d + l + 1 - i
+        t = a[l] * s + (l - i) * t
+    return t
 
 
 def binomial_weight(dv, i):
@@ -139,9 +158,12 @@ def lemma2_check(dv):
 
     Pass iff P(t) has exactly d + 1 nonzero coefficients; on a pass the
     normalization c(i) = 2^(n_2) 3^(n_3) ... r^(n_r) * prod_{j in roots}(j - i)
-    is verified at one non-root.
+    is verified at one non-root.  Refused above VECTOR_N_MAX before P is
+    expanded.
     """
+    check_report_degree(dv.n)
     coeffs = poincare_polynomial(dv)
+    a = a_coefficients(dv)
     roots = [i for i, c in enumerate(coeffs) if c == 0]
     nonzero = len(coeffs) - len(roots)
     needed = dv.n - dv.d
@@ -153,18 +175,25 @@ def lemma2_check(dv):
         i0 = weights[0]
         lead = prod(p ** np_ for p, np_ in enumerate(dv.parts, start=1) if p >= 2)
         expected = lead * prod(j - i0 for j in roots)
-        norm_ok = c_value(dv, i0) == expected
+        norm_ok = _c_horner(dv, a, i0) == expected
     return SieveReport(
         dv=dv,
         coefficients=coeffs,
         nonzero_count=nonzero,
-        a=a_coefficients(dv),
+        a=a,
         passes=passes,
         roots=roots,
         needed_roots=needed,
         weights=weights,
         normalization_checked=norm_ok,
     )
+
+
+def check_report_degree(n):
+    """OutOfRange when an exact report would expand P of degree n > VECTOR_N_MAX."""
+    if n > VECTOR_N_MAX:
+        raise OutOfRange(f"an exact report of degree n = {n} is above "
+                         f"VECTOR_N_MAX = {VECTOR_N_MAX}")
 
 
 # -- closed-form two-step and three-step families -------------------------------
@@ -277,24 +306,23 @@ def family_vector(family, n):
 def integral_roots(dv):
     """All i in {0..n} with c(i) = 0, by exact evaluation.
 
-    Prefix/suffix products make each evaluation O(n - d); this is the exact
-    confirmation route for scan candidates and the oracle dual to the
-    coefficient expansion in poincare_polynomial.
+    The Horner form of c is first run mod p for every i at once; a nonzero
+    residue proves c(i) != 0, and the i with residue 0 are evaluated
+    exactly.  This is the exact confirmation route for scan candidates and
+    the oracle dual to the coefficient expansion in poincare_polynomial.
     """
     a = a_coefficients(dv)
-    d, n = dv.d, dv.n
-    e = n - d
-    roots = []
-    for i in range(n + 1):
-        prefix = [1] * (e + 1)
-        for l in range(1, e + 1):
-            prefix[l] = prefix[l - 1] * (l - 1 - i)
-        suffix = [1] * (e + 1)
-        for l in range(e - 1, -1, -1):
-            suffix[l] = suffix[l + 1] * (d + l + 1 - i)
-        if sum(a[l] * prefix[l] * suffix[l] for l in range(e + 1)) == 0:
-            roots.append(i)
-    return roots
+    d, e = dv.d, dv.n - dv.d
+    p = _PRIME
+    i = np.arange(dv.n + 1, dtype=np.int64)
+    s = np.ones_like(i)
+    t = np.full_like(i, a[e] % p)
+    for l in range(e - 1, -1, -1):
+        # s, t and the reduced factors lie in [0, p) and |d + l + 1 - i| <= n,
+        # far below 2^32, so each product is below 2^62 and the sum below 2^63
+        s = s * (d + l + 1 - i) % p
+        t = (a[l] % p * s + (l - i) % p * t) % p
+    return [int(x) for x in np.flatnonzero(t == 0) if _c_horner(dv, a, int(x)) == 0]
 
 
 def integral_root_count(dv):
@@ -302,49 +330,107 @@ def integral_root_count(dv):
 
 
 def _exact_pass(n1, tail):
-    """Exact purity verdict for (n1, *tail): c has n - d integral zeros."""
+    """(dv, roots) for (n1, *tail) when c has n - d integral zeros, else None."""
     dv = _normalize(n1, tail)
-    return integral_root_count(dv) == dv.n - dv.d
+    roots = integral_roots(dv)
+    return (dv, roots) if len(roots) == dv.n - dv.d else None
 
 
-def _scan_tail(tail, n1_max):
-    """Candidate n_1 values for one tail, by the mod-p coefficient count.
+def _tail_degree(tail):
+    return sum(map(mul, tail, count(2)))
+
+
+def _screen(tails, n1_max):
+    """Candidate n_1 values for each tail, by the mod-p coefficient count.
 
     A residue count greater than d + 1 disproves the pass exactly (nonzero
     mod p implies nonzero over Z, and d + 1 is the unconditional minimum);
-    counts <= d + 1 are candidates for exact confirmation.
+    counts <= d + 1 are candidates for exact confirmation.  Tails are
+    screened in blocks of at most SCREEN_BLOCK_CELLS cells: row r of a block
+    holds P_{n_1}(t) mod p for tail r, zero-padded to a common width.  A
+    block starts from 1 and multiplies its rows by (1 - t^q) once per unit
+    of each part n_q, then by (1 - t) once per step of n_1, each a
+    vectorized subtract over the whole block.
     """
-    p = _PRIME
-    base = np.zeros(sum(q * x for q, x in enumerate(tail, start=2)) + n1_max + 1,
-                    dtype=np.int64)
-    tail_exact = _expand_parts((0,) + tail)
-    base[: len(tail_exact)] = [c % p for c in tail_exact]
-    deg = len(tail_exact) - 1
-    d_tail = sum(tail)
+    width = max(map(_tail_degree, tails)) + n1_max + 1
+    rows = min(len(tails), max(1, SCREEN_BLOCK_CELLS // width))
+    # block buffers for the whole scan, so no step allocates a block: two
+    # for P and a contiguous one for the p-correction of the subtract
+    bufs = [np.empty((rows, width), dtype=np.int64) for _ in range(2)]
+    scratch = np.empty(rows * width, dtype=np.int64)
     candidates = []
-    cur = base
-    for n1 in range(n1_max + 1):
-        if n1 > 0:
-            deg += 1
-            nxt = cur.copy()
-            nxt[1: deg + 1] = (cur[1: deg + 1] - cur[: deg]) % p
-            cur = nxt
-        if np.count_nonzero(cur[: deg + 1]) <= n1 + d_tail + 1:
-            candidates.append(n1)
+    for start in range(0, len(tails), rows):
+        block = tails[start: start + rows]
+        cur, nxt = (b[: len(block)] for b in bufs)
+        cur.fill(0)
+        nxt.fill(0)
+        cur[:, 0] = 1
+        length = max(map(len, block))
+        parts = np.array([t + (0,) * (length - len(t)) for t in block],
+                         dtype=np.int64).reshape(len(block), length)
+        # top bounds every row's degree, so columns past it hold zeros and
+        # are never touched; deg is the block's largest tail degree
+        deg = int((parts @ np.arange(2, length + 2)).max(initial=0))
+        top = 0
+        for q, n_q in enumerate(parts.T, start=2):
+            for k in range(1, int(n_q.max()) + 1):
+                top = min(top + q, deg)
+                _times_one_minus(cur, nxt, q, top, scratch)
+                np.copyto(cur[:, : top + 1], nxt[:, : top + 1], where=(n_q >= k)[:, None])
+        top = deg
+        bound = parts.sum(axis=1) + 1
+        hits = [[] for _ in block]
+        for n1 in range(n1_max + 1):
+            if n1 > 0:
+                top += 1
+                _times_one_minus(cur, nxt, 1, top, scratch)
+                cur, nxt = nxt, cur
+            counts = np.count_nonzero(cur[:, : top + 1], axis=1)
+            for r in np.flatnonzero(counts <= bound + n1):
+                hits[r].append(n1)
+        candidates.extend(hits)
     return candidates
 
 
+def _times_one_minus(src, dst, q, top, scratch):
+    """dst = (1 - t^q) src mod p on columns 0..top, rows of residues in [0, p)."""
+    dst[:, :q] = src[:, :q]
+    view = dst[:, q: top + 1]
+    np.subtract(src[:, q: top + 1], src[:, : top + 1 - q], out=view)
+    # x >> 63 is -1 exactly where x < 0: add p there
+    neg = scratch[: view.size].reshape(view.shape)
+    np.right_shift(view, 63, out=neg)
+    np.bitwise_and(neg, _PRIME, out=neg)
+    view += neg
+
+
 def scan_tails(tails, n1_max):
-    """Passing (n1, *tail) dimension vectors over the given tails, exact."""
+    """Passing (dv, roots) pairs of (n1, *tail) over the given tails, exact.
+
+    roots are the integral zeros of c, so the coefficient of t^i in P is zero
+    exactly for i in roots.
+    """
+    tails = [tuple(tail) for tail in tails]
+    if not tails:
+        return []
+    _check_screen_work(len(tails), n1_max, max(map(_tail_degree, tails)))
     passing = []
-    for tail in tails:
-        tail = tuple(tail)
-        for n1 in _scan_tail(tail, n1_max):
+    for tail, n1s in zip(tails, _screen(tails, n1_max)):
+        for n1 in n1s:
             if n1 == 0 and not any(tail):
                 continue  # the empty vector
-            if _exact_pass(n1, tail):
-                passing.append(_normalize(n1, tail))
+            hit = _exact_pass(n1, tail)
+            if hit is not None:
+                passing.append(hit)
     return passing
+
+
+def _check_screen_work(tail_count, n1_max, tail_degree):
+    work = tail_count * (n1_max + 1) * (tail_degree + n1_max + 1)
+    if work > SCREEN_WORK_MAX:
+        raise OutOfRange(f"range scan needs {tail_count} tails x {n1_max + 1} values of n1 "
+                         f"x {tail_degree + n1_max + 1} coefficients = {work} screen "
+                         f"cells, above SCREEN_WORK_MAX = {SCREEN_WORK_MAX}")
 
 
 def _normalize(n1, tail):
@@ -357,16 +443,20 @@ def _normalize(n1, tail):
 def sieve_range(ranges, jobs=1):
     """Exhaustive scan over inclusive ranges [(lo_1, hi_1), ..., (lo_r, hi_r)].
 
-    Returns the passing DimensionVectors in lexicographic order of
-    (n_1, ..., n_r).  The scan partitions by tail (n_2, ..., n_r); partitions
-    may be evaluated in parallel with identical results.  At most
-    min(jobs, CPU count, number of tails) worker processes are started.
+    Returns the passing (DimensionVector, roots) pairs in lexicographic order
+    of (n_1, ..., n_r).  The scan partitions by tail (n_2, ..., n_r);
+    partitions may be evaluated in parallel with identical results.  At most
+    min(jobs, CPU count, number of tails) worker processes are started.  A
+    scan above SCREEN_WORK_MAX screen cells is refused before any tail is
+    formed.
     """
     if not ranges or any(lo > hi or lo < 0 for lo, hi in ranges):
         raise EmptyRange(f"invalid range specification {ranges}")
     if jobs < 1:
         raise OutOfRange(f"jobs = {jobs} must be at least 1")
     lo1, hi1 = ranges[0]
+    _check_screen_work(prod(hi - lo + 1 for lo, hi in ranges[1:]), hi1,
+                       _tail_degree(hi for _, hi in ranges[1:]))
     tails = [()]
     for lo, hi in ranges[1:]:
         tails = [t + (x,) for t in tails for x in range(lo, hi + 1)]
@@ -377,11 +467,11 @@ def sieve_range(ranges, jobs=1):
         chunks = [tails[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(_scan_chunk, [(c, hi1) for c in chunks])
-        passing = [dv for part in results for dv in part]
+        passing = [hit for part in results for hit in part]
     else:
         passing = _scan_chunk((tails, hi1))
-    passing = [dv for dv in passing if _in_ranges(dv, ranges)]
-    return sorted(set(passing), key=lambda dv: (dv.parts + (0,) * len(ranges))[: len(ranges)])
+    passing = [hit for hit in passing if _in_ranges(hit[0], ranges)]
+    return sorted(passing, key=lambda hit: (hit[0].parts + (0,) * len(ranges))[: len(ranges)])
 
 
 def _scan_chunk(args):

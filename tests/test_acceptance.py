@@ -98,11 +98,11 @@ def test_criterion_2_sieve_regressions():
     assert [n for n in range(8, 10001) if two_step_passes(4, n)] == [8]
     assert [n for n in range(10, 10001) if two_step_passes(5, n)] == [10]
     # independent route: mod-p incremental scan with exact confirmation
-    assert [dv.parts for dv in scan_tails([(4,)], 9992)] == [(0, 4)]
-    assert [dv.parts for dv in scan_tails([(5,)], 9990)] == [(0, 5)]
-    scan2 = {dv.n for dv in scan_tails([(2,)], 9996)}
+    assert [dv.parts for dv, _ in scan_tails([(4,)], 9992)] == [(0, 4)]
+    assert [dv.parts for dv, _ in scan_tails([(5,)], 9990)] == [(0, 5)]
+    scan2 = {dv.n for dv, _ in scan_tails([(2,)], 9996)}
     assert scan2 == squares
-    scan3 = {dv.n for dv in scan_tails([(3,)], 9994)}
+    scan3 = {dv.n for dv, _ in scan_tails([(3,)], 9994)}
     assert scan3 == cond3
     # partial-root counts as reported
     assert two_step_roots(4, 17) == [7, 10]
@@ -168,9 +168,9 @@ def _pinned_shape2():
 
 def test_criterion_3_multi_parameter_searches():
     start = time.perf_counter()
-    got1 = {dv.parts for dv in sieve_range([(0, 100)] + [(0, 5)] * 4, jobs=1)}
+    got1 = {dv.parts for dv, _ in sieve_range([(0, 100)] + [(0, 5)] * 4, jobs=1)}
     assert got1 == _pinned_shape1()
-    got2 = {dv.parts for dv in sieve_range([(0, 200), (0, 50), (0, 20)], jobs=1)}
+    got2 = {dv.parts for dv, _ in sieve_range([(0, 200), (0, 50), (0, 20)], jobs=1)}
     assert got2 == _pinned_shape2()
     elapsed = time.perf_counter() - start
     assert elapsed < 1800

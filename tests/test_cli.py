@@ -4,13 +4,19 @@ Claims:
     - reports are byte-identical across repeated runs on every preset
     - the 235 cohomology report carries b, p, k and n = 10
     - family and shape sieve runs emit the documented CSV columns
+    - sieve reports on the three benchmark shapes and on --vector 2,1,2
+      --emit-p are byte-identical to tests/golden/, and every --shape row
+      equals the exact lemma2_check row of its vector
+    - an oversized --shape, --family --n-max, --vector or --shape --emit-p is
+      OutOfRange at once
     - rumin --check exits 0 with every symbolic identity passing, and on
       235 forms each metric's Hodge data, d and delta once (6 metrics)
     - rumin reports on 235 and heisenberg5 are byte-identical to tests/golden/
     - torsion reads a complex file and honors --lambda/--N/--a
     - torsion --check-invariance reports on three complexes are byte-identical
       to tests/golden/, and form each harmonic basis and rank(D_q) once per
-      complex (the input and its dual)
+      complex (the input and its dual); at lambda = 0 the checks reuse the
+      report's own torsion norm
     - nilgroup subcommands produce the documented lattice coordinates
     - validation errors exit 1 with the error name; parse errors exit 2;
       sieve --jobs below 1, char-orbit --words outside 1..10^6 and a
@@ -154,6 +160,47 @@ class TestSieve:
         assert row["P"] == [1, -2, 0, 0, 3, 0, -3, 0, 0, 2, -1]
         assert row["pass"] is True
 
+    @pytest.mark.parametrize("name,shape", [
+        ("shape5", "n1:0..100,n2:0..5,n3:0..5,n4:0..5,n5:0..5"),
+        ("shape3", "n1:0..200,n2:0..50,n3:0..20"),
+        ("tail23", "n1:0..2500,n2:2..3"),
+    ])
+    def test_shape_matches_golden(self, name, shape):
+        code, out = invoke("sieve", "--shape", shape, "--jobs", "1")
+        assert code == 0
+        assert out == (GOLDEN / f"sieve_{name}.csv").read_text()
+
+    def test_vector_matches_golden(self):
+        code, out = invoke("sieve", "--vector", "2,1,2", "--emit-p", "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / "sieve_vector_212.json").read_text()
+
+    def test_shape_rows_equal_exact_reports(self):
+        from nilrumin.cli import _report_row
+        from nilrumin.purity_sieve import DimensionVector, lemma2_check
+
+        code, out = invoke("sieve", "--shape", "n1:0..300,n2:0..4,n3:0..3", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["results"]["rows"]
+        assert len(rows) > 300
+        for row in rows:
+            assert row == _report_row(lemma2_check(DimensionVector(row["vector"])), False)
+
+    @pytest.mark.parametrize("argv", [
+        ("--shape", f"n1:0..{10**12}"),
+        ("--shape", f"n1:0..0,n2:0..{10**6},n3:0..{10**6}"),
+        ("--family", "n2-4", "--n-max", str(10**12)),
+        ("--vector", f"{10**12},1"),
+        ("--shape", "n1:0..9996,n2:2..2", "--emit-p"),
+        ("--shape", "n1:0..4000,n2:4..4", "--emit-p"),  # passes only at n = 8
+    ])
+    def test_oversized_input_fails_fast(self, argv):
+        start = time.perf_counter()
+        code, out = invoke("sieve", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "OutOfRange" in out
+
 
 class TestRumin:
     def test_check_passes(self):
@@ -253,6 +300,18 @@ class TestTorsion:
         assert code == 0
         assert counts["harmonic_basis"] == harmonic_degrees
         assert counts["rank"] == len(cx.diffs) + len(dual.diffs)
+
+    def test_check_reuses_report_norm_at_lambda_zero(self, monkeypatch):
+        # report, two cutoffs, scaled exponents and the dual: 5 norms at
+        # lambda = 0; a positive cutoff needs its own lambda = 0 base
+        from nilrumin import fd_torsion
+
+        path = str(GOLDEN / "torsion_reference.input.json")
+        counts = count_calls(monkeypatch, ((fd_torsion, "torsion_norm"),))
+        code, _ = invoke("torsion", "--input", path, "--check-invariance")
+        assert code == 0 and counts["torsion_norm"] == 5
+        code, _ = invoke("torsion", "--input", path, "--check-invariance", "--lambda", "0.5")
+        assert code == 0 and counts["torsion_norm"] == 11
 
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "-1"])
     def test_cutoff_must_be_finite_nonnegative(self, tmp_path, cutoff):

@@ -12,11 +12,20 @@ Claims:
     - sieve_range on a singleton equals lemma2_check and is parallel safe
     - sieve_range rejects jobs < 1 and starts at most min(jobs, CPUs, tails)
       workers
+    - the blocked mod-p screen gives every tail the candidates of the
+      one-tail-at-a-time reference screen, for any block size
+    - scan_tails and sieve_range return each passing vector with the zero
+      coefficients of its expansion as roots
+    - integral_roots equals the exact prefix/suffix evaluation at every i, and
+      both mod-p screens only add candidates that exact arithmetic rejects
+    - a range scan above SCREEN_WORK_MAX, and an exact report above
+      VECTOR_N_MAX, are refused at once
 """
 
 import concurrent.futures
 import os
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -24,6 +33,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from nilrumin import purity_sieve
 from nilrumin.errors import EmptyRange, OutOfRange
 from nilrumin.purity_sieve import (
     DimensionVector,
@@ -33,6 +45,7 @@ from nilrumin.purity_sieve import (
     c_value,
     family_vector,
     integral_root_count,
+    integral_roots,
     lemma2_check,
     poincare_polynomial,
     scan_tails,
@@ -148,6 +161,12 @@ class TestLemma2:
         report = lemma2_check(DimensionVector((2, 1, 2)))
         assert tuple(report.weights) == betti_and_weights(algebra_235()).p
 
+    @given(vectors)
+    @settings(max_examples=60, deadline=None)
+    def test_integral_roots_match_reference(self, parts):
+        assert integral_roots(DimensionVector(parts)) == reference_integral_roots(
+            DimensionVector(parts))
+
     def test_root_count_matches_expansion(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -201,12 +220,15 @@ class TestSieveRange:
             parts = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)]
             dv = DimensionVector(parts)
             ranges = [(x, x) for x in dv.parts]
-            got = sieve_range(ranges)
-            assert (dv in got) == lemma2_check(dv).passes
+            got = {hit: roots for hit, roots in sieve_range(ranges)}
+            report = lemma2_check(dv)
+            assert (dv in got) == report.passes
+            if report.passes:
+                assert got[dv] == report.roots
 
     def test_scan_matches_bruteforce(self):
         ranges = [(0, 8), (0, 3), (0, 2)]
-        got = set(dv.parts for dv in sieve_range(ranges))
+        got = set(dv.parts for dv, _ in sieve_range(ranges))
         expect = set()
         for n1 in range(9):
             for n2 in range(4):
@@ -262,4 +284,107 @@ class TestSieveRange:
     def test_order_deterministic(self):
         ranges = [(0, 10), (0, 2)]
         out = sieve_range(ranges)
-        assert out == sorted(out, key=lambda dv: (dv.parts + (0, 0))[:2])
+        assert out == sorted(out, key=lambda hit: (hit[0].parts + (0, 0))[:2])
+
+
+def reference_integral_roots(dv):
+    """The i in {0..n} with c(i) = 0, each c(i) by exact prefix/suffix
+    products (the reference for the mod-p-screened integral_roots)."""
+    a = a_coefficients(dv)
+    d, n = dv.d, dv.n
+    e = n - d
+    roots = []
+    for i in range(n + 1):
+        prefix = [1] * (e + 1)
+        for l in range(1, e + 1):
+            prefix[l] = prefix[l - 1] * (l - 1 - i)
+        suffix = [1] * (e + 1)
+        for l in range(e - 1, -1, -1):
+            suffix[l] = suffix[l + 1] * (d + l + 1 - i)
+        if sum(a[l] * prefix[l] * suffix[l] for l in range(e + 1)) == 0:
+            roots.append(i)
+    return roots
+
+
+def reference_scan_tail(tail, n1_max):
+    """Candidate n_1 values of one tail, screened on its own (the reference
+    for the blocked screen): P_{n_1} mod p by the recurrence P_{n_1} =
+    (1 - t) P_{n_1 - 1}, kept only up to its own degree."""
+    p = purity_sieve._PRIME
+    base = np.zeros(sum(q * x for q, x in enumerate(tail, start=2)) + n1_max + 1,
+                    dtype=np.int64)
+    tail_exact = purity_sieve._expand_parts((0,) + tail)
+    base[: len(tail_exact)] = [c % p for c in tail_exact]
+    deg = len(tail_exact) - 1
+    d_tail = sum(tail)
+    candidates = []
+    cur = base
+    for n1 in range(n1_max + 1):
+        if n1 > 0:
+            deg += 1
+            nxt = cur.copy()
+            nxt[1: deg + 1] = (cur[1: deg + 1] - cur[: deg]) % p
+            cur = nxt
+        if np.count_nonzero(cur[: deg + 1]) <= n1 + d_tail + 1:
+            candidates.append(n1)
+    return candidates
+
+
+tail_lists = st.lists(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3)
+                      .map(tuple), min_size=1, max_size=12)
+
+
+class TestBlockedScreen:
+    @given(tail_lists, st.integers(min_value=0, max_value=40),
+           st.sampled_from([1, 7, 64, 500, 1 << 16]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_screen(self, tails, n1_max, cells):
+        # tails of one length, as a range scan forms them; cells = 1 puts
+        # every tail in a block of its own
+        width = len(tails[0])
+        tails = [(t + (0,) * width)[:width] for t in tails]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(purity_sieve, "SCREEN_BLOCK_CELLS", cells)
+            got = purity_sieve._screen(tails, n1_max)
+        assert got == [reference_scan_tail(t, n1_max) for t in tails]
+
+    def test_mixed_tails_share_a_block(self):
+        # rows of different degrees and lengths, and empty tails, in one block
+        tails = [(a, b, c) for a in range(3) for b in range(3) for c in range(4)]
+        assert purity_sieve._screen(tails, 30) == [reference_scan_tail(t, 30) for t in tails]
+        tails = [(5,), (0, 0, 2), (), (1, 3)]
+        assert purity_sieve._screen(tails, 12) == [reference_scan_tail(t, 12) for t in tails]
+        assert purity_sieve._screen([(), ()], 5) == [list(range(6))] * 2
+
+    def test_roots_are_the_zero_coefficients(self):
+        for dv, roots in scan_tails([(0, 1), (1, 0), (2, 1), (1, 2)], 40):
+            report = lemma2_check(dv)
+            assert report.passes and roots == report.roots
+
+    def test_small_prime_only_adds_candidates(self):
+        # with p = 3 most residues vanish: the exact confirmations must
+        # reject every false candidate of both screens
+        ranges = [(0, 30), (0, 3), (0, 2)]
+        expected = sieve_range(ranges)
+        dvs = [DimensionVector(parts) for parts in ((9, 4), (2, 1, 2), (7, 0, 3), (0, 6))]
+        roots = [integral_roots(dv) for dv in dvs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(purity_sieve, "_PRIME", 3)
+            assert sum(map(len, purity_sieve._screen([(1, 1), (0, 3)], 30))) > 20
+            assert sieve_range(ranges) == expected
+            assert [integral_roots(dv) for dv in dvs] == roots
+
+    def test_oversized_scans_refused_at_once(self):
+        # 2^60 tails: refused before the tail list is formed
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="SCREEN_WORK_MAX"):
+            sieve_range([(0, 5)] + [(0, 1)] * 60)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(OutOfRange, match="SCREEN_WORK_MAX"):
+            scan_tails([(2,)], 10**6)
+
+    def test_oversized_report_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(OutOfRange, match="VECTOR_N_MAX"):
+            lemma2_check(DimensionVector((purity_sieve.VECTOR_N_MAX - 1, 1)))
+        assert time.perf_counter() - start < 1
