@@ -7,6 +7,7 @@ printed), 2 on malformed input files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
@@ -28,6 +29,7 @@ from .io_formats import (
 )
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="nilrumin")
     parser.add_argument("--version", action="version", version=__version__)

@@ -39,6 +39,7 @@ from .errors import (
     InvalidRepresentatives,
     NotAcyclic,
     NotPositiveDefinite,
+    OutOfRange,
 )
 from .rational import (
     adjoint,
@@ -61,6 +62,13 @@ from .rational import (
 
 _SPECTRAL_TOL = 1e-12
 
+# Every complex in the tests has degrees of dimension <= 12 and at most 6
+# degrees (the benchmark's: 6 and 6).  At the limits, a dense complex with
+# small entries takes about 6 s through `torsion --check-invariance` on a
+# 2-CPU machine.
+MAX_DEGREE_DIM = 24
+MAX_DEGREES = 12
+
 
 class FiniteComplex:
     """Finite graded complex over Q with Gram inner products.
@@ -75,6 +83,10 @@ class FiniteComplex:
         self.min_degree = int(min_degree)
         self.dims = [int(x) for x in dims]
         n = len(self.dims)
+        if n > MAX_DEGREES:
+            raise OutOfRange(f"{n} degrees exceed the limit {MAX_DEGREES}")
+        if any(not 0 <= d <= MAX_DEGREE_DIM for d in self.dims):
+            raise OutOfRange(f"dimensions {self.dims} outside 0..{MAX_DEGREE_DIM}")
         self.diffs = [mat(d) if d else zeros(self.dims[i + 1], self.dims[i])
                       for i, d in enumerate(diffs)]
         if len(self.diffs) != max(n - 1, 0):
@@ -404,6 +416,11 @@ def validate_reference(cx, reference):
             )
         if not vecs:
             continue
+        if any(len(v) != cx.dim(q) for v in vecs):
+            raise InvalidRepresentatives(
+                f"degree-{q} representatives need {cx.dim(q)} entries each, "
+                f"got {[len(v) for v in vecs]}"
+            )
         cols = columns_to_matrix([[Fraction(x) for x in v] for v in vecs], cx.dim(q))
         dq = cx.diff(q)
         img = mat_mul(dq, cols)

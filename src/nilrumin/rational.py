@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, entries fractions.Fraction; vectors are lists.
-Row reduction first clears denominators per row and then runs the
-fraction-free Bareiss elimination, so all intermediate entries are integers.
-Nothing in this module touches floating point.
+Matrices are lists of rows, entries fractions.Fraction (plain ints are
+accepted); vectors are lists.  The kernel computes in integers: each operand
+row (or column) is cleared once to integer entries over one denominator by
+``_cleared``, and a Fraction is built only for each output entry.
+``mat_mul`` sums integer products and divides once per entry; row echelon
+form, ``det`` and ``is_positive_definite`` run the fraction-free Bareiss
+elimination on the cleared rows; ``charpoly`` runs Faddeev–LeVerrier on the
+integer matrix s·a and rescales its coefficients by powers of s.  Nothing in
+this module touches floating point.
 
 The exact Hodge theory of a complex with Gram matrices (adjoint, harmonic
 basis, orthogonal projection) is here too, shared by every caller.
@@ -12,7 +17,8 @@ basis, orthogonal projection) is here too, shared by every caller.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 
 def frac(x) -> Fraction:
@@ -41,23 +47,36 @@ def transpose(a):
 
 
 def mat_mul(a, b):
+    """a·b with Fraction entries; [] when either factor has no rows.
+
+    The rows of a and the columns of b are cleared once, so each entry is one
+    integer dot product over the product of two denominators.
+    """
     if not a or not b:
         return []
-    n, k, m = len(a), len(b), len(b[0])
-    bt = transpose(b)
-    return [[sum(ra[t] * cb[t] for t in range(k)) for cb in bt] for ra in a]
+    k, m = len(b), len(b[0])
+    if any(len(row) != k for row in a) or any(len(row) != m for row in b):
+        raise ValueError(f"cannot multiply: {len(a)}x{len(a[0])} by {k}x{m} "
+                         "(or ragged rows)")
+    cols = _cleared(zip(*b))
+    return [[Fraction(sum(map(mul, ra, cb)), da * db) for cb, db in cols]
+            for ra, da in _cleared(a)]
 
 
 def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def _integer_rows(a):
-    """Scale each row by the lcm of denominators; kernels and row spaces are unchanged."""
+def _cleared(vectors):
+    """Each vector v as (ints, d) with v = ints / d, d the lcm of v's denominators.
+
+    Scaling a row by d > 0 changes neither its kernel, its row space nor the
+    sign of any minor it enters.
+    """
     out = []
-    for row in a:
-        m = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * m) for x in row])
+    for v in vectors:
+        d = lcm(*(x.denominator for x in v))
+        out.append(([x.numerator * (d // x.denominator) for x in v], d))
     return out
 
 
@@ -67,7 +86,7 @@ def row_echelon(a):
     Returns (echelon rows as ints, pivot column list).  The input is not
     modified.  Works on the denominator-cleared copy of ``a``.
     """
-    m = _integer_rows(a)
+    m = [ints for ints, _ in _cleared(a)]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -175,16 +194,14 @@ def inverse(a):
 
 
 def det(a):
-    """Determinant via Bareiss on the Fraction matrix (denominators tracked)."""
+    """Determinant via Bareiss on the row-cleared matrix, over the product of
+    the row denominators."""
     n = len(a)
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in a:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        m.append([int(x * mult) for x in row])
+    cleared = _cleared(a)
+    m = [ints for ints, _ in cleared]
+    scale = prod(d for _, d in cleared)
     prev = 1
     sign = 1
     for c in range(n - 1):
@@ -199,23 +216,29 @@ def det(a):
                 m[i][j] = (m[i][j] * m[c][c] - m[i][c] * m[c][j]) // prev
             m[i][c] = 0
         prev = m[c][c]
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    return Fraction(sign * m[n - 1][n - 1], scale)
 
 
 def charpoly(a):
     """Coefficients of det(x·I − a), highest power first (monic), exact.
 
-    Faddeev–LeVerrier recursion; O(n^4) Fraction arithmetic, fine for the
-    small matrices this package handles.
+    Faddeev–LeVerrier on the integer matrix A = s·a, s the lcm of a's
+    denominators: every M_k is an integer matrix, each c_k(A) an integer
+    (the division by k is exact), and c_k(a) = c_k(A)/s^k.  O(n^4) integer
+    arithmetic, fine for the small matrices this package handles.
     """
     n = len(a)
+    cleared = _cleared(a)
+    s = lcm(*(d for _, d in cleared))
+    big = [[x * (s // d) for x in ints] for ints, d in cleared]
     coeffs = [Fraction(1)]
-    m = identity(n)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        # c_k = -tr(a·M_k)/k, then M_{k+1} = a·M_k + c_k·I
-        am = mat_mul(a, m)
-        c = -sum(am[i][i] for i in range(n)) / k
-        coeffs.append(c)
+        # c_k = -tr(A·M_k)/k, then M_{k+1} = A·M_k + c_k·I
+        cols = list(zip(*m))
+        am = [[sum(map(mul, row, col)) for col in cols] for row in big]
+        c = -sum(am[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(c, s ** k))
         for i in range(n):
             am[i][i] += c
         m = am
@@ -248,13 +271,26 @@ def orthogonal_projection(h, gram):
     return mat_mul(inverse(mat_mul(ht_g, h)), ht_g)
 
 
-def leading_principal_minors(a):
-    return [det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
-
-
 def is_positive_definite(a):
-    """Sylvester's criterion on a symmetric matrix."""
-    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+    """Sylvester's criterion on a symmetric matrix, in one Bareiss pass.
+
+    With no pivoting, the k-th Bareiss pivot of the row-cleared matrix is its
+    k-th leading principal minor, which has the sign of a's (each row was
+    scaled by a positive denominator).
+    """
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         return False
-    return all(m > 0 for m in leading_principal_minors(a))
+    m = [ints for ints, _ in _cleared(a)]
+    prev = 1
+    for c in range(n):
+        piv = m[c][c]
+        if piv <= 0:
+            return False
+        for i in range(c + 1, n):
+            fi = m[i][c]
+            m[i] = [0] * (c + 1) + [(x * piv - fi * y) // prev
+                                    for x, y in zip(m[i][c + 1:], m[c][c + 1:])]
+        prev = piv
+    return True
 

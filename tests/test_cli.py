@@ -1,8 +1,12 @@
 """Command line interface.
 
 Claims:
-    - reports are byte-identical across repeated runs on every preset
+    - reports are byte-identical across repeated runs on every preset, and
+      the parser is built once per process
     - the 235 cohomology report carries b, p, k and n = 10
+    - cohomology reports on 235, heisenberg5 and heisenberg7, with the
+      identity metric and with a graded Gram file, are byte-identical to
+      tests/golden/
     - family and shape sieve runs emit the documented CSV columns
     - sieve reports on the three benchmark shapes and on --vector 2,1,2
       --emit-p are byte-identical to tests/golden/, and every --shape row
@@ -17,6 +21,9 @@ Claims:
       to tests/golden/, and form each harmonic basis and rank(D_q) once per
       complex (the input and its dual); at lambda = 0 the checks reuse the
       report's own torsion norm
+    - a complex above fd_torsion.MAX_DEGREE_DIM in some degree or with more
+      than MAX_DEGREES degrees is OutOfRange at once; a reference vector of
+      the wrong length is InvalidRepresentatives
     - nilgroup subcommands produce the documented lattice coordinates
     - validation errors exit 1 with the error name; parse errors exit 2;
       sieve --jobs below 1, char-orbit --words outside 1..10^6 and a
@@ -87,6 +94,11 @@ class TestDeterminism:
                 for _ in range(2)]
         assert runs[0] == runs[1] and runs[0]
 
+    def test_parser_built_once(self):
+        from nilrumin.cli import build_parser
+
+        assert build_parser() is build_parser()
+
 
 class TestCohomology:
     def test_235_report(self):
@@ -121,6 +133,16 @@ class TestCohomology:
                            "--metric", str(path), "--format", "json")
         assert code == 0
         assert json.loads(out)["results"]["p"] == [0, 1, 4, 6, 9, 10]
+
+    @pytest.mark.parametrize("preset", ["235", "heisenberg5", "heisenberg7"])
+    def test_report_matches_golden(self, preset):
+        code, out = invoke("cohomology", "--preset", preset, "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / f"cohomology_{preset}.json").read_text()
+        code, out = invoke("cohomology", "--preset", preset, "--metric",
+                           str(GOLDEN / f"cohomology_{preset}.gram.json"), "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / f"cohomology_{preset}.metric.json").read_text()
 
 
 class TestSieve:
@@ -312,6 +334,31 @@ class TestTorsion:
         assert code == 0 and counts["torsion_norm"] == 5
         code, _ = invoke("torsion", "--input", path, "--check-invariance", "--lambda", "0.5")
         assert code == 0 and counts["torsion_norm"] == 11
+
+    @pytest.mark.parametrize("doc", [
+        {"dims": [120], "differentials": []},
+        {"dims": [240], "differentials": []},
+        {"dims": [1] * 13, "differentials": []},
+        {"dims": [10 ** 12, 1], "differentials": [[]]},
+    ])
+    def test_oversized_complex_exit_one_at_once(self, tmp_path, doc):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out = invoke("torsion", "--input", str(path), "--check-invariance")
+        assert code == 1
+        assert "OutOfRange" in out
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("vector", [["1"], ["0", "1", "5"]])
+    def test_reference_of_wrong_length_exit_one(self, tmp_path, vector):
+        # b_0 = 1 in a degree of dimension 2: each vector needs 2 entries
+        doc = {"dims": [2, 1], "differentials": [[["0", "1"]]], "reference": {"0": [vector]}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out = invoke("torsion", "--input", str(path))
+        assert code == 1
+        assert "InvalidRepresentatives" in out
 
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "-1"])
     def test_cutoff_must_be_finite_nonnegative(self, tmp_path, cutoff):

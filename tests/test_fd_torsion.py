@@ -14,7 +14,9 @@ Claims:
     - graded heat trace is constant in t and equals the Euler characteristic
     - duality inverts torsion (dual and shift complexes); direct sums multiply
     - the Z2-graded form agrees; nonzero D*D and DD* spectra pair exactly
-    - degenerate inputs and constraint violations raise the named errors
+    - degenerate inputs and constraint violations raise the named errors; a
+      complex above the size limits, direct sums and duals included, is
+      OutOfRange before any matrix is formed
     - outside the stored degrees the dimension is 0 and the Gram is empty
 """
 
@@ -33,8 +35,11 @@ from nilrumin.errors import (
     ExponentConstraintViolated,
     InvalidRepresentatives,
     NotAcyclic,
+    OutOfRange,
 )
 from nilrumin.fd_torsion import (
+    MAX_DEGREE_DIM,
+    MAX_DEGREES,
     FiniteComplex,
     acyclic_torsion,
     acyclic_torsion_squared,
@@ -260,9 +265,37 @@ class TestTorsionNorm:
         with pytest.raises(InvalidRepresentatives):
             torsion_norm(cx2, {0: [[Fraction(1)]], 1: [[Fraction(1)]]})
 
+    def test_reference_vector_length(self):
+        cx = FiniteComplex(0, [2, 1], [[[0, 1]]])  # b_0 = 1, dim 2
+        assert torsion_norm(cx, {0: [[Fraction(1), Fraction(0)]]}).total == 1.0
+        for v in ([Fraction(1)], [Fraction(0), Fraction(1), Fraction(5)]):
+            with pytest.raises(InvalidRepresentatives):
+                torsion_norm(cx, {0: [v]})
+
     def test_empty_complex(self):
         cx = FiniteComplex(0, [0, 0], [[]])
         assert torsion_norm(cx).total == 1.0
+
+
+class TestSizeLimits:
+    def test_limits_accepted(self):
+        n = MAX_DEGREES
+        cx = FiniteComplex(0, [1] + [0] * (n - 1), [[]] * (n - 1))
+        assert cx.betti(0) == 1
+        assert FiniteComplex(0, [MAX_DEGREE_DIM], []).betti(0) == MAX_DEGREE_DIM
+
+    @pytest.mark.parametrize("dims", [[MAX_DEGREE_DIM + 1], [0] * (MAX_DEGREES + 1), [-1]])
+    def test_breach_is_out_of_range(self, dims):
+        # no differentials given: the limits are checked before their count
+        with pytest.raises(OutOfRange):
+            FiniteComplex(0, dims, [])
+
+    def test_direct_sum_and_dual_checked(self):
+        half = MAX_DEGREE_DIM // 2 + 1
+        cx = FiniteComplex(0, [half], [])
+        with pytest.raises(OutOfRange):
+            direct_sum(cx, cx)
+        assert dual_complex(FiniteComplex(0, [MAX_DEGREE_DIM], [])).dims == [MAX_DEGREE_DIM]
 
 
 class TestAcyclic:

@@ -6,6 +6,11 @@ Claims:
     - det and charpoly agree with cofactor/eigen structure on small cases
     - every charpoly coefficient equals sympy's, rank-deficient inputs included
     - no floating point can leak in: frac rejects floats
+    - the integer kernel agrees with sympy: mat_mul on Fraction and on plain
+      int entries (1x1, n x 0 and 0-column shapes included, mismatched shapes
+      raise), det, and is_positive_definite on positive definite, singular
+      semidefinite, indefinite and non-symmetric inputs; every entry it
+      returns is a Fraction
     - adjoint equals G_src^-1 a^T G_dst without forming the inverse, empty
       shapes included
     - the Hodge helpers need no Gram inverse: harmonic_basis equals the kernel
@@ -63,6 +68,38 @@ def square_matrices(draw):
     if r == 0:
         return [[Fraction(0)] * n for _ in range(n)]
     return mat_mul(left, right)
+
+
+def matrices(elements, rows, cols):
+    return st.lists(st.lists(elements, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def products(draw, elements):
+    """(a, b) with a n x k and b k x m, 1 <= n, k, m <= 5."""
+    n, k, m = (draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    return draw(matrices(elements, n, k)), draw(matrices(elements, k, m))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """B B^T + c I with B n x r, r <= n, c in {-1, 0, 1}: positive definite,
+    singular semidefinite (r < n, c = 0) and indefinite inputs."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=0, max_value=n))
+    b = draw(matrices(entries, n, r))
+    c = draw(st.sampled_from((-1, 0, 1)))
+    return [[sum((b[i][t] * b[j][t] for t in range(r)), Fraction(0)) + (c if i == j else 0)
+             for j in range(n)] for i in range(n)]
+
+
+def sympy_fractions(m):
+    return [[Fraction(str(x)) for x in m.row(i)] for i in range(m.rows)]
+
+
+def all_fractions(m):
+    return all(type(x) is Fraction for row in m for x in row)
 
 
 def rand_matrix(rng, r, c, spread=4):
@@ -144,6 +181,87 @@ class TestDeterminants:
     def test_positive_definite(self):
         assert is_positive_definite([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])
         assert not is_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
+
+
+class TestIntegerKernel:
+    @given(products(entries))
+    @settings(max_examples=80, deadline=None)
+    def test_mat_mul_matches_sympy(self, ab):
+        a, b = ab
+        got = mat_mul(a, b)
+        assert got == sympy_fractions(sympy.Matrix(a) * sympy.Matrix(b))
+        assert all_fractions(got)
+
+    @given(products(st.integers(min_value=-50, max_value=50)))
+    @settings(max_examples=40, deadline=None)
+    def test_mat_mul_plain_ints(self, ab):
+        a, b = ab
+        got = mat_mul(a, b)
+        assert got == sympy_fractions(sympy.Matrix(a) * sympy.Matrix(b))
+        assert all_fractions(got)
+
+    def test_mat_mul_one_by_one(self):
+        got = mat_mul([[Fraction(2, 3)]], [[Fraction(9, 4)]])
+        assert got == [[Fraction(3, 2)]] and all_fractions(got)
+        assert mat_mul([[2]], [[3]]) == [[Fraction(6)]]
+
+    def test_mat_mul_empty_shapes(self):
+        one = [[Fraction(1)], [Fraction(2)]]
+        assert mat_mul([[], []], []) == []          # 2x0 by 0x3
+        assert mat_mul([], [[Fraction(1)]]) == []   # 0x1 by 1x1
+        assert mat_mul(one, [[]]) == [[], []]       # 2x1 by 1x0
+        assert mat_mul([[]], []) == []
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1, 2]], [[1, 2]]),            # 1x2 by 1x2
+        ([[1]], [[1], [2]]),             # 1x1 by 2x1
+        ([[1, 2], [3]], [[1], [2]]),     # ragged a
+        ([[1, 2]], [[1, 2], [3]]),       # ragged b
+        ([[], []], [[1]]),               # 2x0 by 1x1
+    ])
+    def test_mat_mul_mismatch_raises(self, a, b):
+        with pytest.raises(ValueError):
+            mat_mul(a, b)
+
+    @given(square_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_det_matches_sympy(self, a):
+        got = det(a)
+        assert type(got) is Fraction
+        assert got == Fraction(str(sympy.Matrix(a).det()))
+
+    @given(square_matrices())
+    @settings(max_examples=20, deadline=None)
+    def test_charpoly_entries_are_fractions(self, a):
+        assert all(type(c) is Fraction for c in charpoly(a))
+
+    @given(symmetric_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_positive_definite_matches_sympy(self, a):
+        assert is_positive_definite(a) == sympy.Matrix(a).is_positive_definite
+
+    @given(square_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_positive_definite_general_matches_sympy(self, a):
+        # sympy calls a non-symmetric matrix positive definite when its
+        # symmetric part is; Sylvester's criterion needs symmetry
+        m = sympy.Matrix(a)
+        assert is_positive_definite(a) == (m.is_symmetric() and m.is_positive_definite)
+
+    @pytest.mark.parametrize("a, expected", [
+        ([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]], False),  # singular PSD
+        ([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]], False),
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]], True),
+        ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]], False),  # indefinite
+        ([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(2)]], False),  # non-symmetric
+        ([[Fraction(-1)]], False),
+        ([], True),
+    ])
+    def test_positive_definite_cases(self, a, expected):
+        assert is_positive_definite(a) is expected
+        if a:
+            m = sympy.Matrix(a)
+            assert expected == (m.is_symmetric() and m.is_positive_definite)
 
 
 class TestExactness:
