@@ -93,6 +93,10 @@ class InvalidRepresentatives(ValidationError):
     pass
 
 
+class NotFloatRepresentable(ValidationError):
+    pass
+
+
 # -- nilpotent group --------------------------------------------------------------
 
 class NotUnimodular(ValidationError):

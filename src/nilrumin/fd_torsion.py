@@ -38,6 +38,7 @@ from .errors import (
     ExponentConstraintViolated,
     InvalidRepresentatives,
     NotAcyclic,
+    NotFloatRepresentable,
     NotPositiveDefinite,
     OutOfRange,
 )
@@ -61,6 +62,7 @@ from .rational import (
 )
 
 _SPECTRAL_TOL = 1e-12
+_FLOAT_TINY = np.finfo(float).tiny
 
 # Every complex in the tests has degrees of dimension <= 12 and at most 6
 # degrees (the benchmark's: 6 and 6).  At the limits, a dense complex with
@@ -225,22 +227,38 @@ class FiniteComplex:
         """Positive spectrum of D*_q D_q (floats, ascending).
 
         The count is pinned exactly to rank(D_q), so no floating tolerance
-        decides what is zero.
+        decides what is zero.  NotFloatRepresentable names q when floats
+        cannot hold the pencil or the float solver fails on it.
         """
         if q in self._spec_plus:
             return self._spec_plus[q]
-        n = self.dim(q)
         r = self.rank(q)
-        if n == 0 or r == 0:
+        if r == 0:
             self._spec_plus[q] = []
             return []
         d = self.diff(q)
-        s = np.array(mat_mul(transpose(d), mat_mul(self.gram(q + 1), d)), dtype=float)
-        b = np.array(self.gram(q), dtype=float)
-        eigs = scipy.linalg.eigh(s, b, eigvals_only=True)
+        s = _float_matrix(mat_mul(transpose(d), mat_mul(self.gram(q + 1), d)), q)
+        b = _float_matrix(self.gram(q), q)
+        try:
+            eigs = scipy.linalg.eigh(s, b, eigvals_only=True)
+            if not np.isfinite(eigs).all():
+                raise np.linalg.LinAlgError("non-finite eigenvalues")
+        except np.linalg.LinAlgError as exc:
+            raise NotFloatRepresentable(f"degree {q}: the float eigen-solve failed: {exc}") from None
         out = sorted(float(x) for x in eigs[-r:])
         self._spec_plus[q] = out
         return out
+
+
+def _float_matrix(m, q):
+    """m as floats; NotFloatRepresentable (degree q) if an entry over- or underflows."""
+    try:
+        out = np.array(m, dtype=float)
+    except OverflowError:
+        raise NotFloatRepresentable(f"degree {q}: an entry exceeds the float range") from None
+    if np.count_nonzero(np.abs(out) >= _FLOAT_TINY) != sum(x != 0 for row in m for x in row):
+        raise NotFloatRepresentable(f"degree {q}: a nonzero entry underflows the float range")
+    return out
 
 
 @dataclass
@@ -583,24 +601,15 @@ def dual_reference(cx, reference):
             continue
         cols, _ = cleaned[q]
         rows = transpose(cx.diff(q - 1))
-        if rows and rows[0]:
-            ker_cols = nullspace(rows)
-        else:
-            ker_cols = [list(col) for col in identity(cx.dim(q))]
+        ker_cols = nullspace(rows) if rows and rows[0] else identity(cx.dim(q))
         if not ker_cols:
             raise InvalidRepresentatives(f"dual kernel empty in degree {q}")
         # pairing matrix: rows = kernel basis, cols = reference vectors
-        pairing = [[sum(kc[i] * cols[i][j] for i in range(cx.dim(q)))
-                    for j in range(b)] for kc in ker_cols]
+        pairing = mat_mul(ker_cols, cols)
         coeffs = solve(transpose(pairing), identity(b))
         if coeffs is None:
             raise InvalidRepresentatives(f"dual pairing degenerate in degree {q}")
-        duals = []
-        for j in range(b):
-            w = [sum(coeffs[t][j] * ker_cols[t][i] for t in range(len(ker_cols)))
-                 for i in range(cx.dim(q))]
-            duals.append(w)
-        out[-q] = duals
+        out[-q] = mat_mul(transpose(coeffs), ker_cols)
     return out
 
 

@@ -4,9 +4,13 @@ Matrices are lists of rows, entries fractions.Fraction (plain ints are
 accepted); vectors are lists.  The kernel computes in integers: each operand
 row (or column) is cleared once to integer entries over one denominator by
 ``_cleared``, and a Fraction is built only for each output entry.
-``mat_mul`` sums integer products and divides once per entry; row echelon
-form, ``det`` and ``is_positive_definite`` run the fraction-free Bareiss
-elimination on the cleared rows; ``charpoly`` runs Faddeev–LeVerrier on the
+``mat_mul`` (and ``mat_vec`` through it) sums integer products and divides
+once per entry.  ``row_echelon`` is the one elimination: fraction-free
+Gauss–Jordan, whose integer rows over the last pivot d are the reduced row
+echelon form.  ``rank`` and ``column_space`` read its pivots; ``nullspace``,
+``solve`` and ``inverse`` read each output entry off it as one Fraction
+(entry / d), with no back-substitution.  ``det`` and ``is_positive_definite``
+run their own Bareiss passes; ``charpoly`` runs Faddeev–LeVerrier on the
 integer matrix s·a and rescales its coefficients by powers of s.  Nothing in
 this module touches floating point.
 
@@ -64,7 +68,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+    return [row[0] for row in mat_mul(a, [[x] for x in v])] if v else [Fraction(0)] * len(a)
 
 
 def _cleared(vectors):
@@ -81,10 +85,12 @@ def _cleared(vectors):
 
 
 def row_echelon(a):
-    """Fraction-free (Bareiss) row echelon form.
+    """Fraction-free (Bareiss) Gauss–Jordan on the denominator-cleared copy of a.
 
-    Returns (echelon rows as ints, pivot column list).  The input is not
-    modified.  Works on the denominator-cleared copy of ``a``.
+    Returns (integer rows, pivot columns).  Each pivot step eliminates its
+    column from every other row, above and below, with the exact
+    (x·piv − f·y) // prev; at the end every pivot equals the last one, d, the
+    rest of each pivot column is 0, and rows / d is the reduced echelon form.
     """
     m = [ints for ints, _ in _cleared(a)]
     rows = len(m)
@@ -97,13 +103,13 @@ def row_echelon(a):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, rows):
+        top = m[r]
+        piv = top[c]
+        for i in range(rows):
             fi = m[i][c]
-            if fi == 0 and piv == prev:
+            if i == r or (fi == 0 and piv == prev):
                 continue
-            for j in range(cols):
-                m[i][j] = (m[i][j] * piv - fi * m[r][j]) // prev
+            m[i] = [(x * piv - fi * y) // prev for x, y in zip(m[i], top)]
         prev = piv
         pivots.append(c)
         r += 1
@@ -113,38 +119,28 @@ def row_echelon(a):
 
 
 def rank(a):
-    if not a or not a[0]:
-        return 0
     return len(row_echelon(a)[1])
 
 
 def nullspace(a):
-    """Basis of ker(a) as a list of Fraction column vectors."""
-    if not a:
-        return []
-    cols = len(a[0])
+    """Basis of ker(a) as a list of Fraction column vectors: one per free
+    column f, with 1 at f and 0 at the other free columns."""
     ech, pivots = row_echelon(a)
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(a[0]) if a else 0
+    d = ech[0][pivots[0]] if pivots else 1
     basis = []
-    for f in free:
+    for f in sorted(set(range(cols)) - set(pivots)):
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
-        # back-substitute the pivot coordinates
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = sum((Fraction(ech[r][j]) * v[j] for j in range(c + 1, cols)),
-                    start=Fraction(0))
-            v[c] = -s / Fraction(ech[r][c])
+        for row, c in zip(ech, pivots):
+            v[c] = Fraction(-row[f], d)
         basis.append(v)
     return basis
 
 
 def column_space(a):
     """Basis of the column space: the pivot columns of ``a`` itself."""
-    if not a or not a[0]:
-        return []
-    _, pivots = row_echelon(a)
-    return [[row[c] for row in a] for c in pivots]
+    return [[row[c] for row in a] for c in row_echelon(a)[1]]
 
 
 def columns_to_matrix(cols, nrows=None):
@@ -154,10 +150,10 @@ def columns_to_matrix(cols, nrows=None):
 
 
 def solve(a, b):
-    """One solution of a·x = b, or None if inconsistent.
+    """One solution of a·x = b, or None if inconsistent; free variables are 0.
 
     ``b`` may be a vector or a matrix (multiple right-hand sides); the result
-    has the matching shape.
+    has the matching shape.  Read off the reduced form of [a | b].
     """
     vector_rhs = b and not isinstance(b[0], list)
     bm = [[x] for x in b] if vector_rhs else b
@@ -165,29 +161,19 @@ def solve(a, b):
     rhs = len(bm[0]) if bm else 0
     aug = [[frac(x) for x in a[i]] + [frac(y) for y in bm[i]] for i in range(rows)]
     ech, pivots = row_echelon(aug)
-    if any(p >= cols for p in pivots):
+    if pivots and pivots[-1] >= cols:
         return None
+    d = ech[0][pivots[0]] if pivots else 1
     sol = [[Fraction(0)] * rhs for _ in range(cols)]
-    for k in range(rhs):
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            s = Fraction(ech[r][cols + k])
-            for j in range(c + 1, cols):
-                s -= Fraction(ech[r][j]) * sol[j][k]
-            sol[c][k] = s / ech[r][c]
-    # consistency: rows of zeros in a-part must have zero rhs
-    for r in range(len(pivots), rows):
-        for k in range(rhs):
-            if ech[r][cols + k] != 0:
-                return None
+    for row, c in zip(ech, pivots):
+        sol[c] = [Fraction(x, d) for x in row[cols:]]
     if vector_rhs:
         return [row[0] for row in sol]
     return sol
 
 
 def inverse(a):
-    n = len(a)
-    inv = solve(a, identity(n))
+    inv = solve(a, identity(len(a)))
     if inv is None:
         raise ZeroDivisionError("matrix is singular")
     return inv

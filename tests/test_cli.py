@@ -15,7 +15,8 @@ Claims:
       OutOfRange at once
     - rumin --check exits 0 with every symbolic identity passing, and on
       235 forms each metric's Hodge data, d and delta once (6 metrics)
-    - rumin reports on 235 and heisenberg5 are byte-identical to tests/golden/
+    - rumin reports on 235, heisenberg5 and heisenberg7 are byte-identical to
+      tests/golden/
     - torsion reads a complex file and honors --lambda/--N/--a
     - torsion --check-invariance reports on three complexes are byte-identical
       to tests/golden/, and form each harmonic basis and rank(D_q) once per
@@ -24,6 +25,9 @@ Claims:
     - a complex above fd_torsion.MAX_DEGREE_DIM in some degree or with more
       than MAX_DEGREES degrees is OutOfRange at once; a reference vector of
       the wrong length is InvalidRepresentatives
+    - a complex whose spectral pencil floats cannot hold (an entry beyond the
+      float range, a Gram entry below it, eigenvalues beyond it) is
+      NotFloatRepresentable, exit 1, naming the degree
     - nilgroup subcommands produce the documented lattice coordinates
     - validation errors exit 1 with the error name; parse errors exit 2;
       sieve --jobs below 1, char-orbit --words outside 1..10^6 and a
@@ -32,9 +36,13 @@ Claims:
     - a malformed preset name, a non-integer k or a non-integer reference
       degree in a complex file is a parse error; an algebra above
       MAX_DIMENSION, preset or file, is OutOfRange at once
+    - importing nilrumin.cli in a fresh interpreter imports neither sympy nor
+      hypothesis (test-only oracles)
 """
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -256,7 +264,7 @@ class TestRumin:
         assert res["orders"] == [1, 3, 2, 3, 1]
         assert res["orders"] == res["k"]
 
-    @pytest.mark.parametrize("preset", ["235", "heisenberg5"])
+    @pytest.mark.parametrize("preset", ["235", "heisenberg5", "heisenberg7"])
     def test_report_matches_golden(self, preset):
         code, out = invoke("rumin", "--preset", preset, "--format", "json")
         assert code == 0
@@ -359,6 +367,20 @@ class TestTorsion:
         code, out = invoke("torsion", "--input", str(path))
         assert code == 1
         assert "InvalidRepresentatives" in out
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({"dims": [1, 1], "differentials": [[[str(10 ** 200)]]]}, "exceeds"),
+        ({"dims": [1, 1], "differentials": [[["1"]]],
+          "grams": [[[f"1/{10 ** 400}"]], [["1"]]]}, "underflows"),
+        ({"dims": [1, 1], "differentials": [[[str(10 ** 150)]]],
+          "grams": [[[f"1/{10 ** 300}"]], [["1"]]]}, "eigen-solve"),
+    ])
+    def test_pencil_beyond_floats_exit_one(self, tmp_path, doc, problem):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out = invoke("torsion", "--input", str(path))
+        assert code == 1
+        assert "NotFloatRepresentable" in out and "degree 0" in out and problem in out
 
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "-1"])
     def test_cutoff_must_be_finite_nonnegative(self, tmp_path, cutoff):
@@ -495,3 +517,15 @@ class TestErrors:
         code, out = invoke("cohomology", "--preset", "abelian:1:-1",
                            "--metric", str(path))
         assert code == 2
+
+
+class TestColdStart:
+    def test_cli_imports_no_test_oracle(self):
+        import nilrumin
+
+        src = str(Path(nilrumin.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import nilrumin.cli; "
+                "print(sorted({'sympy', 'hypothesis'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"

@@ -11,6 +11,12 @@ Claims:
       raise), det, and is_positive_definite on positive definite, singular
       semidefinite, indefinite and non-symmetric inputs; every entry it
       returns is a Fraction
+    - the reduced (Gauss–Jordan) elimination agrees with sympy on
+      rank-deficient rectangular inputs up to 7x7: nullspace vector for
+      vector, solve with every free parameter 0 (vector and matrix right-hand
+      sides, None exactly when sympy finds no solution), inverse (singular
+      inputs raise ZeroDivisionError), rank, and row_echelon equal to d times
+      the rref with every pivot equal to d; empty shapes behave as before
     - adjoint equals G_src^-1 a^T G_dst without forming the inverse, empty
       shapes included
     - the Hodge helpers need no Gram inverse: harmonic_basis equals the kernel
@@ -46,6 +52,7 @@ from nilrumin.rational import (
     mat_vec,
     nullspace,
     rank,
+    row_echelon,
     solve,
     transpose,
 )
@@ -92,6 +99,33 @@ def symmetric_matrices(draw):
     c = draw(st.sampled_from((-1, 0, 1)))
     return [[sum((b[i][t] * b[j][t] for t in range(r)), Fraction(0)) + (c if i == j else 0)
              for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def rectangular_matrices(draw, rows=None, cols=None):
+    """n x m rational matrices, n, m <= 7, of any rank r: a product of an
+    n x r and an r x m factor, so most are rank-deficient."""
+    n = rows or draw(st.integers(min_value=1, max_value=7))
+    m = cols or draw(st.integers(min_value=1, max_value=7))
+    r = draw(st.integers(min_value=0, max_value=min(n, m)))
+    if r == 0:
+        return [[Fraction(0)] * m for _ in range(n)]
+    return mat_mul(draw(matrices(entries, n, r)), draw(matrices(entries, r, m)))
+
+
+@st.composite
+def systems(draw):
+    """(a, b) with b a vector or a matrix of up to 3 columns; b is a·x (so
+    consistent) or drawn freely (often inconsistent when a is deficient)."""
+    a = draw(rectangular_matrices())
+    n, m = len(a), len(a[0])
+    k = draw(st.integers(min_value=0, max_value=3))
+    width = k or 1
+    if draw(st.booleans()):
+        b = mat_mul(a, draw(matrices(entries, m, width)))
+    else:
+        b = draw(matrices(entries, n, width))
+    return a, (b if k else [row[0] for row in b])
 
 
 def sympy_fractions(m):
@@ -154,6 +188,85 @@ class TestSolve:
             if det(a) == 0:
                 continue
             assert mat_mul(a, inverse(a)) == identity(n)
+
+
+class TestReducedElimination:
+    @given(rectangular_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_nullspace_matches_sympy(self, a):
+        got = nullspace(a)
+        want = [[Fraction(str(x)) for x in v] for v in sympy.Matrix(a).nullspace()]
+        assert got == want
+        assert all_fractions(got)
+
+    @given(systems())
+    @settings(max_examples=80, deadline=None)
+    def test_solve_matches_sympy_with_free_parameters_zero(self, ab):
+        a, b = ab
+        vector_rhs = not isinstance(b[0], list)
+        rhs = sympy.Matrix(b if not vector_rhs else [[x] for x in b])
+        got = solve(a, b)
+        try:
+            sol, params = sympy.Matrix(a).gauss_jordan_solve(rhs)
+        except ValueError:  # sympy: the system has no solution
+            assert got is None
+            return
+        want = sympy_fractions(sol.subs({p: 0 for p in params}))
+        assert got == ([row[0] for row in want] if vector_rhs else want)
+        assert all(type(x) is Fraction for x in (got if vector_rhs else sum(got, [])))
+
+    def test_inconsistent_rectangular_returns_none(self):
+        a = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]]
+        assert solve(a, [Fraction(1), Fraction(3)]) is None
+        assert solve(a, [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(3)]]) is None
+        assert solve(a, [Fraction(1, 2), Fraction(1)]) == [Fraction(1, 2), 0, 0]
+
+    @given(st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: rectangular_matrices(rows=n, cols=n)))
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_matches_sympy(self, a):
+        m = sympy.Matrix(a)
+        if m.det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                inverse(a)
+            return
+        got = inverse(a)
+        assert got == sympy_fractions(m.inv())
+        assert all_fractions(got)
+
+    @given(rectangular_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_rank_matches_sympy(self, a):
+        assert rank(a) == sympy.Matrix(a).rank()
+
+    @given(rectangular_matrices())
+    @settings(max_examples=80, deadline=None)
+    def test_row_echelon_is_reduced(self, a):
+        ech, pivots = row_echelon(a)
+        rref, want_pivots = sympy.Matrix(a).rref()
+        assert pivots == list(want_pivots)
+        if not pivots:
+            assert all(x == 0 for row in ech for x in row)
+            return
+        d = ech[0][pivots[0]]
+        for r, c in enumerate(pivots):
+            assert ech[r][c] == d
+            assert all(ech[i][c] == 0 for i in range(len(ech)) if i != r)
+        assert [[Fraction(x, d) for x in row] for row in ech] == sympy_fractions(rref)
+
+    def test_empty_shapes(self):
+        assert row_echelon([]) == ([], [])
+        assert row_echelon([[], []]) == ([[], []], [])
+        assert rank([]) == rank([[], []]) == 0
+        assert nullspace([]) == nullspace([[], []]) == []
+        assert column_space([]) == column_space([[], []]) == []
+        assert solve([], []) == []
+        assert solve([[], []], [0, 0]) == []
+        assert solve([[], []], [1, 0]) is None
+        assert solve([[], []], [[], []]) == []
+        assert solve([[1, 2]], [[]]) == [[], []]
+        assert inverse([]) == []
+        assert mat_vec([[], []], []) == [0, 0]
 
 
 class TestDeterminants:
