@@ -184,7 +184,7 @@ class FiniteComplex:
         return all(self.betti(q) == 0 for q in self.degrees)
 
     def euler_characteristic(self):
-        return sum((-1) ** q * self.dim(q) for q in self.degrees)
+        return sum(_sign(q) * self.dim(q) for q in self.degrees)
 
     def harmonic_basis(self, q):
         """Columns spanning ker D_q ∩ ker D*_{q-1}; exact, formed once per complex."""
@@ -237,8 +237,8 @@ class FiniteComplex:
             self._spec_plus[q] = []
             return []
         d = self.diff(q)
-        s = _float_matrix(mat_mul(transpose(d), mat_mul(self.gram(q + 1), d)), q)
-        b = _float_matrix(self.gram(q), q)
+        s = _float_matrix(mat_mul(transpose(d), mat_mul(self.gram(q + 1), d)), f"degree {q}")
+        b = _float_matrix(self.gram(q), f"degree {q}")
         try:
             eigs = scipy.linalg.eigh(s, b, eigvals_only=True)
             if not np.isfinite(eigs).all():
@@ -250,15 +250,25 @@ class FiniteComplex:
         return out
 
 
-def _float_matrix(m, q):
-    """m as floats; NotFloatRepresentable (degree q) if an entry over- or underflows."""
+def _sign(q):
+    """(-1)^q as an int, for negative q too."""
+    return 1 - 2 * (q % 2)
+
+
+def _float_matrix(m, where):
+    """m as floats; NotFloatRepresentable, naming ``where``, if an entry over- or underflows."""
     try:
         out = np.array(m, dtype=float)
     except OverflowError:
-        raise NotFloatRepresentable(f"degree {q}: an entry exceeds the float range") from None
+        raise NotFloatRepresentable(f"{where}: an entry exceeds the float range") from None
     if np.count_nonzero(np.abs(out) >= _FLOAT_TINY) != sum(x != 0 for row in m for x in row):
-        raise NotFloatRepresentable(f"degree {q}: a nonzero entry underflows the float range")
+        raise NotFloatRepresentable(f"{where}: a nonzero entry underflows the float range")
     return out
+
+
+def _float(x, where):
+    """The exact x as a float, through the range check of ``_float_matrix``."""
+    return float(_float_matrix([[x]], where)[0, 0])
 
 
 @dataclass
@@ -376,7 +386,7 @@ def zeta_prime_zero(cx, lam=0.0, n_labels=None, a=None):
         mus = delta_spectrum(cx, q, a)
         _guard_cutoff(mus, lam)
         s = sum(math.log(mu) for mu in mus if mu > lam)
-        total -= (-1) ** q * n_labels[cx.index(q)] * s
+        total -= _sign(q) * n_labels[cx.index(q)] * s
     return total
 
 
@@ -390,7 +400,7 @@ def zeta_at_zero(cx, lam=0.0, n_labels=None, a=None):
     for q in cx.degrees:
         mus = delta_spectrum(cx, q, a)
         _guard_cutoff(mus, lam)
-        total += (-1) ** q * n_labels[cx.index(q)] * sum(1 for mu in mus if mu > lam)
+        total += _sign(q) * n_labels[cx.index(q)] * sum(1 for mu in mus if mu > lam)
     return total
 
 
@@ -414,7 +424,7 @@ def zeta_prime_zero_exact(cx, n_labels=None, a=None):
             pd *= cx.coexact_det(q) ** a[i]
         if i >= 1:
             pd *= cx.coexact_det(q - 1) ** a[i - 1]
-        total -= (-1) ** q * n_labels[i] * math.log(float(pd))
+        total -= _sign(q) * n_labels[i] * math.log(_float(pd, f"det'(Delta_{q})"))
     return total
 
 
@@ -466,22 +476,30 @@ def torsion_norm(cx, reference=None, lam=0.0, n_labels=None, a=None):
     cleaned = validate_reference(cx, reference)
 
     zp = zeta_prime_zero(cx, lam, n_labels, a)
-    zeta_part = math.exp(-zp / (2 * kappa))
+    try:
+        zeta_part = math.exp(-zp / (2 * kappa))
+    except OverflowError:
+        zeta_part = math.inf
 
     finite = 1.0
     for q, (_, gram_h) in cleaned.items():
-        finite *= float(det(gram_h)) ** ((-1) ** q / 2.0)
+        finite *= _float(det(gram_h), f"degree {q} harmonic Gram determinant") ** (_sign(q) / 2.0)
     # torsion of the (0, lambda] subcomplex: sdet(D*D restricted)^(-1/2)
     for q in cx.degrees:
         i = cx.index(q)
         if 0 <= i < len(a):
             small = [nu for nu in cx.spec_plus(q) if nu ** a[i] <= lam]
             for nu in small:
-                finite *= nu ** (-((-1) ** q) / 2.0)
+                finite *= nu ** (-_sign(q) / 2.0)
+    # the norm is positive: 0.0 or inf is an underflow or overflow, not a value
+    total = zeta_part * finite
+    if not 0 < total < math.inf:
+        raise NotFloatRepresentable(
+            f"the torsion norm exp({-zp / (2 * kappa)!r}) * {finite!r} leaves the float range")
     return TorsionResult(
         zeta_part=zeta_part,
         finite_part=finite,
-        total=zeta_part * finite,
+        total=total,
         kappa=kappa,
         cutoff=lam,
     )
@@ -494,12 +512,12 @@ def acyclic_torsion_squared(cx):
         raise NotAcyclic(f"nonzero cohomology in degrees {bad}")
     out = Fraction(1)
     for q in cx.degrees:
-        out *= cx.coexact_det(q) ** (-((-1) ** q))
+        out *= cx.coexact_det(q) ** -_sign(q)
     return out
 
 
 def acyclic_torsion(cx):
-    return math.sqrt(float(acyclic_torsion_squared(cx)))
+    return math.sqrt(_float(acyclic_torsion_squared(cx), "acyclic torsion squared"))
 
 
 def telescoping_check(cx, n_labels=None, a=None):
@@ -519,7 +537,7 @@ def telescoping_check(cx, n_labels=None, a=None):
         dq = deltas[cx.index(q)]
         if not dq:
             continue
-        lhs *= Fraction(det(dq)) ** ((-1) ** q * n_labels[cx.index(q)])
+        lhs *= Fraction(det(dq)) ** (_sign(q) * n_labels[cx.index(q)])
     return lhs == acyclic_torsion_squared(cx) ** kappa
 
 
@@ -531,7 +549,7 @@ def euler_heat_trace(cx, a=None, t=1.0):
     for q in cx.degrees:
         mus = delta_spectrum(cx, q, a)
         harmonic = cx.betti(q)
-        total += (-1) ** q * (harmonic + sum(math.exp(-t * mu) for mu in mus))
+        total += _sign(q) * (harmonic + sum(math.exp(-t * mu) for mu in mus))
     return total
 
 
@@ -546,7 +564,7 @@ def z2_check(cx, lam=0.0, n_labels=None, a=None, tol=1e-9):
         i = cx.index(q)
         if 0 <= i < len(a):
             s = sum(math.log(nu) for nu in cx.spec_plus(q) if nu ** a[i] > lam)
-            rhs += 0.5 * (-1) ** q * s
+            rhs += 0.5 * _sign(q) * s
     return _close(lhs, rhs, tol)
 
 

@@ -7,9 +7,16 @@ the basis is ordered by ascending weight, every bracket lands on strictly
 later basis vectors and the recursion terminates.  The Heisenberg order of a
 monomial is sum_i e_i * weight(i), where a degree -k direction has weight k.
 
+Every product goes through one kernel, ``UEA._mul_into``: the straightened
+product of each pair of monomials is memoised per pair, and x·y is added
+term by term into one accumulator dict.  Element products and operator
+matrix products (a rational matrix on either side is lifted by
+``from_scalar``) both use it, so entry (i, j) of A @ B is one dict that
+collects sum_t A[i][t]·B[t][j].
+
 The formal adjoint convention is X_i* = -X_i (integration by parts against
 the bi-invariant Haar measure of the nilpotent group), extended as an
-anti-automorphism.
+anti-automorphism: each monomial's reversed word is straightened once.
 """
 
 from __future__ import annotations
@@ -21,22 +28,20 @@ from .rational import frac
 
 
 class UEA:
-    """Straightening context for one algebra; memoizes monomial * generator."""
+    """Straightening context for one algebra; memoizes words and monomial pairs."""
 
     def __init__(self, alg):
         self.algebra = alg
         self.m = alg.dim
         self.weights = alg.weights
         self._gen_cache = {}
+        self._pair_cache = {}
 
     def element(self, coeffs=None):
         return UEAElement(self, dict(coeffs) if coeffs else {})
 
     def zero(self):
         return UEAElement(self, {})
-
-    def one(self):
-        return UEAElement(self, {(0,) * self.m: Fraction(1)})
 
     def generator(self, i):
         e = [0] * self.m
@@ -100,8 +105,21 @@ class UEA:
         return tuple(i for i, e in enumerate(exps) for _ in range(e))
 
     def _mono_mul(self, a, b):
-        """X^a · X^b as a dict, straightened."""
-        return self._straighten(self._word(a) + self._word(b))
+        """X^a · X^b straightened, as a tuple of (exponents, coefficient)."""
+        out = self._pair_cache.get((a, b))
+        if out is None:
+            out = tuple(self._straighten(self._word(a) + self._word(b)).items())
+            self._pair_cache[a, b] = out
+        return out
+
+    def _mul_into(self, out, x, y):
+        """Add x·y into ``out``; x, y are {exponents: coefficient}. Zeros may remain."""
+        mono_mul = self._mono_mul
+        for ea, ca in x.items():
+            for eb, cb in y.items():
+                c = ca * cb
+                for e, cm in mono_mul(ea, eb):
+                    out[e] = out.get(e, 0) + c * cm
 
 
 def _acc(d, key, val):
@@ -157,15 +175,8 @@ class UEAElement:
             return self.scale(other)
         self._check(other)
         out = {}
-        for ea, ca in self.coeffs.items():
-            for eb, cb in other.coeffs.items():
-                c = ca * cb
-                for e, cm in self.uea._mono_mul(ea, eb).items():
-                    _acc(out, e, c * cm)
+        self.uea._mul_into(out, self.coeffs, other.coeffs)
         return UEAElement(self.uea, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def __eq__(self, other):
         return (isinstance(other, UEAElement)
@@ -195,16 +206,14 @@ class UEAElement:
 
     def adjoint(self):
         """Formal adjoint: anti-automorphism with X_i* = -X_i."""
-        out = self.uea.zero()
+        uea = self.uea
+        out = {}
         for exps, c in self.coeffs.items():
-            total = sum(exps)
-            acc = self.uea.scalar(c * (-1) ** total)
-            # reversed monomial: X_m^(e_m) ... X_1^(e_1), re-straightened
-            for i in range(self.uea.m - 1, -1, -1):
-                for _ in range(exps[i]):
-                    acc = acc * self.uea.generator(i)
-            out = out + acc
-        return out
+            c = -c if sum(exps) % 2 else c
+            # reversed monomial X_m^(e_m) ... X_1^(e_1), straightened once
+            for e, cm in uea._straighten(uea._word(exps)[::-1]).items():
+                out[e] = out.get(e, 0) + c * cm
+        return UEAElement(uea, out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -228,63 +237,48 @@ class UEAOperatorMatrix:
     coefficients of the left factor act after (to the left of) the right's.
     """
 
-    def __init__(self, uea, entries):
+    def __init__(self, uea, entries, cols=0):
         self.uea = uea
         self.entries = entries
         self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
+        self.cols = len(entries[0]) if entries else cols
 
     @classmethod
-    def zero(cls, uea, rows, cols):
-        return cls(uea, [[uea.zero() for _ in range(cols)] for _ in range(rows)])
-
-    @classmethod
-    def from_scalar(cls, uea, matrix):
-        return cls(uea, [[uea.scalar(x) for x in row] for row in matrix])
+    def from_scalar(cls, uea, matrix, cols=0):
+        """A rational matrix as order-0 operators; ``cols`` sizes a 0-row matrix."""
+        return cls(uea, [[uea.scalar(x) for x in row] for row in matrix], cols)
 
     def order(self):
         orders = [e.order() for row in self.entries for e in row if not e.is_zero()]
         return max(orders) if orders else 0
 
     def __matmul__(self, other):
-        if isinstance(other, UEAOperatorMatrix):
-            if self.cols != other.rows:
-                raise AlgebraMismatch(
-                    f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-                )
-            entries = [
-                [
-                    _sum_elements(self.uea,
-                                  [self.entries[i][t] * other.entries[t][j]
-                                   for t in range(self.cols)])
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-            return UEAOperatorMatrix(self.uea, entries)
-        # scalar rational matrix on the right
-        entries = [
-            [
-                _sum_elements(self.uea,
-                              [self.entries[i][t].scale(other[t][j])
-                               for t in range(self.cols)])
-                for j in range(len(other[0]))
-            ]
-            for i in range(self.rows)
-        ]
-        return UEAOperatorMatrix(self.uea, entries)
+        """Operator product; a rational matrix on the right is lifted first."""
+        if not isinstance(other, UEAOperatorMatrix):
+            other = UEAOperatorMatrix.from_scalar(self.uea, other)
+        if self.cols != other.rows:
+            raise AlgebraMismatch(
+                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
+            )
+        if not same_algebra(self.uea.algebra, other.uea.algebra):
+            raise AlgebraMismatch("operands live over different algebras")
+        uea = self.uea
+        right = [[e.coeffs for e in row] for row in other.entries]
+        entries = []
+        for row in self.entries:
+            left = [(e.coeffs, right[t]) for t, e in enumerate(row) if e.coeffs]
+            out_row = []
+            for j in range(other.cols):
+                out = {}
+                for x, y in left:
+                    if y[j]:
+                        uea._mul_into(out, x, y[j])
+                out_row.append(UEAElement(uea, out))
+            entries.append(out_row)
+        return UEAOperatorMatrix(uea, entries, other.cols)
 
     def __rmatmul__(self, scalar_matrix):
-        entries = [
-            [
-                _sum_elements(self.uea,
-                              [self.entries[t][j].scale(scalar_matrix[i][t])
-                               for t in range(self.rows)])
-                for j in range(self.cols)
-            ]
-            for i in range(len(scalar_matrix))
-        ]
-        return UEAOperatorMatrix(self.uea, entries)
+        return UEAOperatorMatrix.from_scalar(self.uea, scalar_matrix, self.rows) @ self
 
     def __add__(self, other):
         entries = [[a + b for a, b in zip(ra, rb)]
@@ -320,13 +314,6 @@ class UEAOperatorMatrix:
                 for exps in sorted(e.coeffs):
                     records.append((i, j, exps, e.coeffs[exps]))
         return records
-
-
-def _sum_elements(uea, elements):
-    out = uea.zero()
-    for e in elements:
-        out = out + e
-    return out
 
 
 def formal_adjoint(op, gram_source, gram_target):

@@ -15,8 +15,9 @@ Claims:
       OutOfRange at once
     - rumin --check exits 0 with every symbolic identity passing, and on
       235 forms each metric's Hodge data, d and delta once (6 metrics)
-    - rumin reports on 235, heisenberg5 and heisenberg7 are byte-identical to
-      tests/golden/
+    - rumin reports on 235, heisenberg5, heisenberg7 and heisenberg9 are
+      byte-identical to tests/golden/, with orders = k; rumin on heisenberg11
+      is OutOfRange (MAX_SYSTEM_CELLS) in under a second
     - torsion reads a complex file and honors --lambda/--N/--a
     - torsion --check-invariance reports on three complexes are byte-identical
       to tests/golden/, and form each harmonic basis and rank(D_q) once per
@@ -26,8 +27,10 @@ Claims:
       than MAX_DEGREES degrees is OutOfRange at once; a reference vector of
       the wrong length is InvalidRepresentatives
     - a complex whose spectral pencil floats cannot hold (an entry beyond the
-      float range, a Gram entry below it, eigenvalues beyond it) is
-      NotFloatRepresentable, exit 1, naming the degree
+      float range, a Gram entry below it, eigenvalues beyond it), or whose
+      harmonic Gram determinant lies outside the float range, is
+      NotFloatRepresentable, exit 1, naming the degree; so is a torsion norm
+      that under- or overflows a float
     - nilgroup subcommands produce the documented lattice coordinates
     - validation errors exit 1 with the error name; parse errors exit 2;
       sieve --jobs below 1, char-orbit --words outside 1..10^6 and a
@@ -264,11 +267,22 @@ class TestRumin:
         assert res["orders"] == [1, 3, 2, 3, 1]
         assert res["orders"] == res["k"]
 
-    @pytest.mark.parametrize("preset", ["235", "heisenberg5", "heisenberg7"])
+    @pytest.mark.parametrize("preset", ["235", "heisenberg5", "heisenberg7", "heisenberg9"])
     def test_report_matches_golden(self, preset):
         code, out = invoke("rumin", "--preset", preset, "--format", "json")
         assert code == 0
         assert out == (GOLDEN / f"rumin_{preset}.json").read_text()
+        res = json.loads(out)["results"]
+        assert res["orders"] == res["k"]
+
+    def test_oversized_system_fails_fast(self):
+        # heisenberg11 is inside MAX_DIMENSION, but its L-systems are not
+        # inside MAX_SYSTEM_CELLS; the bound is checked before the cohomology
+        start = time.perf_counter()
+        code, out = invoke("rumin", "--preset", "heisenberg11")
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert "OutOfRange" in out and "MAX_SYSTEM_CELLS" in out
 
 
 class TestTorsion:
@@ -374,6 +388,11 @@ class TestTorsion:
           "grams": [[[f"1/{10 ** 400}"]], [["1"]]]}, "underflows"),
         ({"dims": [1, 1], "differentials": [[[str(10 ** 150)]]],
           "grams": [[[f"1/{10 ** 300}"]], [["1"]]]}, "eigen-solve"),
+        # no differential: only the harmonic Gram determinant meets floats
+        ({"dims": [1], "differentials": [], "grams": [[[str(10 ** 400)]]],
+          "reference": {"0": [["1"]]}}, "exceeds"),
+        ({"dims": [1], "differentials": [], "grams": [[[f"1/{10 ** 400}"]]],
+          "reference": {"0": [["1"]]}}, "underflows"),
     ])
     def test_pencil_beyond_floats_exit_one(self, tmp_path, doc, problem):
         path = tmp_path / "c.json"
@@ -381,6 +400,17 @@ class TestTorsion:
         code, out = invoke("torsion", "--input", str(path))
         assert code == 1
         assert "NotFloatRepresentable" in out and "degree 0" in out and problem in out
+
+    def test_norm_beyond_floats_exit_one(self, tmp_path):
+        # D = 10^14 I on R^24: every float of the pencil is fine, but the
+        # norm is 10^-336, below the float range, not 0.0
+        n = 24
+        diff = [[str(10 ** 14) if i == j else "0" for j in range(n)] for i in range(n)]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dims": [n, n], "differentials": [diff]}))
+        code, out = invoke("torsion", "--input", str(path))
+        assert code == 1
+        assert "NotFloatRepresentable" in out and "torsion norm" in out
 
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "-1"])
     def test_cutoff_must_be_finite_nonnegative(self, tmp_path, cutoff):

@@ -9,10 +9,14 @@ Claims:
     - the exact oracle's det'(Delta_q) = sdet_q^(a_q) sdet_(q-1)^(a_(q-1))
       equals sympy's pseudo-determinant of the Laplacian matrix exactly
     - torsion_norm is independent of lambda, of N shifts and of rescaling a
-    - acyclic torsion equals torsion_norm on acyclic complexes (50 random)
+    - acyclic torsion equals torsion_norm on acyclic complexes (50 random);
+      where T^2 or det'(Delta) leaves the float range, acyclic_torsion and the
+      exact oracle raise NotFloatRepresentable
     - telescoping identity holds exactly on squared values
     - graded heat trace is constant in t and equals the Euler characteristic
     - duality inverts torsion (dual and shift complexes); direct sums multiply
+    - on acyclic complexes from degree -3 up, T^2(dual) = 1/T^2 and the
+      telescoping identity hold exactly, and T^2 and chi stay exact types
     - the Z2-graded form agrees; nonzero D*D and DD* spectra pair exactly
     - degenerate inputs and constraint violations raise the named errors; a
       complex above the size limits, direct sums and duals included, is
@@ -35,6 +39,7 @@ from nilrumin.errors import (
     ExponentConstraintViolated,
     InvalidRepresentatives,
     NotAcyclic,
+    NotFloatRepresentable,
     OutOfRange,
 )
 from nilrumin.fd_torsion import (
@@ -328,6 +333,17 @@ class TestAcyclic:
         sq = acyclic_torsion_squared(cx)
         assert isinstance(sq, Fraction) and sq > 0
 
+    @pytest.mark.parametrize("c", [10 ** 200, Fraction(1, 10 ** 200)])
+    def test_beyond_floats_is_named(self, c):
+        # T^2 = 1/c^2 and det'(Delta_0) = c^2 leave the float range; the exact
+        # values stay exact
+        cx = two_term(Fraction(c))
+        assert acyclic_torsion_squared(cx) == 1 / Fraction(c) ** 2
+        with pytest.raises(NotFloatRepresentable, match="acyclic torsion"):
+            acyclic_torsion(cx)
+        with pytest.raises(NotFloatRepresentable, match="Delta_0"):
+            zeta_prime_zero_exact(cx)
+
 
 class TestTelescoping:
     @pytest.mark.parametrize("k", [(1,), (1, 2, 1), (1, 3, 2, 3, 1)])
@@ -407,6 +423,24 @@ class TestDuality:
         cx = FiniteComplex(0, [0], [])
         assert torsion_norm(cx).total == 1.0
         assert torsion_norm(dual_complex(cx)).total == 1.0
+
+    def test_exact_on_negative_degrees(self):
+        # the dual lives in degrees -1, 0: every sign there is an int
+        dual = dual_complex(FiniteComplex(0, [1, 1], [[[3]]], [[[1]], [[2]]]))
+        t2, chi = acyclic_torsion_squared(dual), dual.euler_characteristic()
+        assert type(t2) is Fraction and t2 == 18
+        assert type(chi) is int and chi == 0
+        assert telescoping_check(dual) is True
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-3, max_value=1))
+    @settings(max_examples=40, deadline=None)
+    def test_dual_inverts_exact_torsion(self, seed, min_degree):
+        cx, _ = random_complex(random.Random(seed), acyclic=True, min_degree=min_degree)
+        dual = dual_complex(cx)
+        t2, t2_dual = acyclic_torsion_squared(cx), acyclic_torsion_squared(dual)
+        assert type(t2) is Fraction and type(t2_dual) is Fraction
+        assert t2_dual == 1 / t2
+        assert telescoping_check(cx) and telescoping_check(dual)
 
 
 class TestZ2AndPairing:

@@ -8,6 +8,10 @@ Claims:
       (perturbing any coefficient breaks a condition), and for h3 carries an
       order-1 correction into the theta^3 component; a column block with a
       kernel is reported as AnsatzInsufficient
+    - each L-solve eliminates [a | rhs] exactly once (rank is not called), and
+      its size is bounded before assembly by an upper bound on the cells of
+      [a | rhs], computed before the cohomology too; heisenberg9 is inside
+      MAX_SYSTEM_CELLS and heisenberg11 outside
     - D = pi d L: D^2 = 0, Heisenberg orders match k_q (h7 included), D_0 on
       the (2,3,5) model is (X_1, X_2), abelian models give back the full de
       Rham operator
@@ -29,7 +33,8 @@ from nilrumin.ce_cohomology import (
     identity_metric,
     random_graded_inner_product,
 )
-from nilrumin.errors import AnsatzInsufficient, NotPure
+from nilrumin import rumin_flat
+from nilrumin.errors import AnsatzInsufficient, NotPure, OutOfRange
 from nilrumin.graded_lie import abelian, algebra_235, build_algebra, heisenberg
 from nilrumin.rational import orthogonal_projection
 from nilrumin.rumin_flat import (
@@ -172,6 +177,66 @@ class TestSplitting:
         mixed = build_algebra((-1, -2), {})  # H^1 weights {1, 2}
         with pytest.raises(NotPure):
             solve_splitting_L(mixed, identity_metric(mixed))
+
+
+class TestOneElimination:
+    def test_one_row_echelon_per_solve(self, monkeypatch):
+        echelons, per_call = [], []
+        echelon, solve_degree = rumin_flat.row_echelon, rumin_flat._solve_L_degree
+
+        def counted_echelon(a):
+            echelons.append(a)
+            return echelon(a)
+
+        def counted_solve(*args):
+            before = len(echelons)
+            try:
+                return solve_degree(*args)
+            finally:
+                per_call.append(len(echelons) - before)
+
+        monkeypatch.setattr(rumin_flat, "row_echelon", counted_echelon)
+        monkeypatch.setattr(rumin_flat, "_solve_L_degree", counted_solve)
+        for alg in (algebra_235(), heisenberg(2)):
+            rumin_D(alg, identity_metric(alg))
+        assert len(per_call) == 6 + 6 and per_call == [1] * len(per_call)
+        # an underdetermined block is told apart by the same one elimination
+        alg = heisenberg(1)
+        inner, uea = identity_metric(alg), UEA(alg)
+        coh = betti_and_weights(alg, inner)
+        proj = orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1))
+        with pytest.raises(AnsatzInsufficient):
+            rumin_flat._solve_L_degree(alg, uea, coh, [UEAOperatorMatrix.from_scalar(uea, proj)],
+                                       1, 0)
+        assert per_call[-1] == 1
+        assert not hasattr(rumin_flat, "rank")
+
+
+class TestSystemBound:
+    @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
+                                      lambda: heisenberg(2), lambda: heisenberg(3)])
+    def test_bound_covers_the_system(self, make, monkeypatch):
+        # per degree: bound before the cohomology >= bound with the actual
+        # p_q and b_q >= cells of the [a | rhs] that is eliminated
+        bounds, cells = [], []
+        check, echelon = rumin_flat._check_system_size, rumin_flat.row_echelon
+        monkeypatch.setattr(rumin_flat, "_check_system_size",
+                            lambda *args: bounds.append(check(*args)) or bounds[-1])
+        monkeypatch.setattr(rumin_flat, "row_echelon",
+                            lambda a: cells.append(len(a) * len(a[0])) or echelon(a))
+        alg = make()
+        rumin_D(alg, identity_metric(alg))
+        n = alg.dim + 1
+        assert len(bounds) == 2 * n and len(cells) == n
+        for q in range(n):
+            assert bounds[q] >= bounds[n + q] >= cells[q]
+
+    def test_heisenberg11_rejected_before_cohomology(self, monkeypatch):
+        monkeypatch.setattr(rumin_flat, "betti_and_weights",
+                            lambda *args: pytest.fail("cohomology formed"))
+        alg = heisenberg(5)
+        with pytest.raises(OutOfRange, match="MAX_SYSTEM_CELLS"):
+            solve_splitting_L(alg, identity_metric(alg))
 
 
 class TestRuminD:

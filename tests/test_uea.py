@@ -7,12 +7,20 @@ Claims:
     - the formal adjoint is an involutive anti-homomorphism with X_i* = -X_i
     - order-0 operator matrices adjoint to their Gram-conjugated transposes
     - mixing algebras raises AlgebraMismatch
+    - the fused operator product equals the entrywise reference product
+      (UEAElement products from freshly straightened words, summed) on random
+      sparse operators over (2,3,5) and h5, with a rational matrix on either
+      side and 0-row or 0-column shapes; mismatched shapes or algebras raise
+      AlgebraMismatch; operator products are associative
+    - the adjoint equals the reversed product of generators with sign
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilrumin.errors import AlgebraMismatch
 from nilrumin.graded_lie import algebra_235, heisenberg
@@ -159,3 +167,125 @@ class TestMatrices:
                                       [random_element(u235, rng)]])
         back = formal_adjoint(formal_adjoint(op, g1, g2), g2, g1)
         assert back == op
+
+
+# -- reference product: today's formulation, kept independent of the kernel ----
+
+def reference_mul(x, y):
+    """x·y term by term, each pair of monomials straightened afresh."""
+    uea = x.uea
+    out = uea.zero()
+    for ea, ca in x.coeffs.items():
+        for eb, cb in y.coeffs.items():
+            word = uea._straighten(uea._word(ea) + uea._word(eb))
+            out = out + uea.element({e: ca * cb * c for e, c in word.items()})
+    return out
+
+
+def reference_matmul(uea, a, b, cols):
+    """Entrywise products of two grids of UEAElements (b has ``cols`` columns), summed."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            acc = uea.zero()
+            for t, x in enumerate(row):
+                acc = acc + reference_mul(x, b[t][j])
+            out_row.append(acc.coeffs)
+        out.append(out_row)
+    return out
+
+
+ALGEBRAS = {"235": algebra_235(), "heisenberg5": heisenberg(2)}
+
+
+def coeffs(op):
+    return [[e.coeffs for e in row] for row in op.entries]
+
+
+def random_grid(uea, rng, rows, cols):
+    """Sparse UEA entries: about half of them zero."""
+    return [[random_element(uea, rng, max_order=3) if rng.random() < 0.5 else uea.zero()
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def random_rational(rng, rows, cols):
+    return [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+shapes = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+class TestFusedProduct:
+    @given(st.sampled_from(sorted(ALGEBRAS)), shapes, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_operator_product(self, name, shape, seed):
+        r, k, c = shape
+        uea, rng = UEA(ALGEBRAS[name]), random.Random(seed)
+        a, b = random_grid(uea, rng, r, k), random_grid(uea, rng, k, c)
+        prod = UEAOperatorMatrix(uea, a, k) @ UEAOperatorMatrix(uea, b, c)
+        assert (prod.rows, prod.cols) == (r, c)
+        assert coeffs(prod) == reference_matmul(uea, a, b, c)
+
+    @given(st.sampled_from(sorted(ALGEBRAS)), shapes, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_matrix_on_either_side(self, name, shape, seed):
+        r, k, c = shape
+        uea, rng = UEA(ALGEBRAS[name]), random.Random(seed)
+        def lift(m):
+            return [[uea.scalar(x) for x in row] for row in m]
+
+        s, b = random_rational(rng, r, k), random_grid(uea, rng, k, c)
+        prod = s @ UEAOperatorMatrix(uea, b, c)
+        assert (prod.rows, prod.cols) == (r, c)
+        assert coeffs(prod) == reference_matmul(uea, lift(s), b, c)
+        # a 0-row rational matrix carries no column count: k = 0 rows means 0 columns
+        c = c if k else 0
+        a, s = random_grid(uea, rng, r, k), random_rational(rng, k, c)
+        prod = UEAOperatorMatrix(uea, a, k) @ s
+        assert (prod.rows, prod.cols) == (r, c)
+        assert coeffs(prod) == reference_matmul(uea, a, lift(s), c)
+
+    @given(shapes, st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_mismatch_raises(self, shape, seed):
+        r, k, c = shape
+        rng = random.Random(seed)
+        u235, uh5 = UEA(ALGEBRAS["235"]), UEA(ALGEBRAS["heisenberg5"])
+        a = UEAOperatorMatrix(u235, random_grid(u235, rng, r, k), k)
+        with pytest.raises(AlgebraMismatch, match="shape"):
+            a @ UEAOperatorMatrix(u235, random_grid(u235, rng, k + 1, c), c)
+        with pytest.raises(AlgebraMismatch, match="shape"):
+            random_rational(rng, 2, r + 1) @ a
+        with pytest.raises(AlgebraMismatch, match="algebras"):
+            a @ UEAOperatorMatrix(uh5, random_grid(uh5, rng, k, c), c)
+
+    @given(st.sampled_from(sorted(ALGEBRAS)), st.lists(st.integers(1, 3), min_size=4,
+                                                       max_size=4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_associative(self, name, dims, seed):
+        uea, rng = UEA(ALGEBRAS[name]), random.Random(seed)
+        a, b, c = (UEAOperatorMatrix(uea, random_grid(uea, rng, dims[i], dims[i + 1]))
+                   for i in range(3))
+        assert (a @ b) @ c == a @ (b @ c)
+        s = random_rational(rng, dims[1], dims[2])
+        assert (a @ s) @ c == a @ (s @ c)
+
+
+class TestAdjointReference:
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_matches_generator_product(self, name):
+        # the adjoint of c·X^e is (-1)^|e| c X_m^(e_m) ... X_1^(e_1), the
+        # product of generators taken one at a time
+        uea, rng = UEA(ALGEBRAS[name]), random.Random(9)
+        for _ in range(30):
+            x = random_element(uea, rng)
+            expected = uea.zero()
+            for exps, c in x.coeffs.items():
+                acc = uea.scalar(c * (-1) ** sum(exps))
+                for i in reversed(range(uea.m)):
+                    for _ in range(exps[i]):
+                        acc = reference_mul(acc, uea.generator(i))
+                expected = expected + acc
+            assert x.adjoint() == expected
