@@ -352,7 +352,7 @@ def _torsion_checks(cx, ref, exponents, base):
     )
     n0 = fd_torsion.default_n_labels(cx)
     shifted = [x + 7 for x in n0]
-    z1 = fd_torsion.zeta_prime_zero(cx, 0.0, n0, a)
+    z1 = base.zeta_prime  # lambda = 0 and the default N, as n0
     z2 = fd_torsion.zeta_prime_zero(cx, 0.0, shifted, a)
     checks["n_shift_independent"] = abs(z1 - z2) <= tol * max(1.0, abs(z1))
     scaled = [3 * x for x in a]

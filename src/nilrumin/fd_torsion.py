@@ -278,6 +278,7 @@ class TorsionResult:
     total: float
     kappa: int
     cutoff: float
+    zeta_prime: float  # zeta'_lambda(0) behind zeta_part; not in the report
 
 
 def default_exponents(cx):
@@ -319,13 +320,21 @@ def _check_n_labels(cx, n_labels):
             )
 
 
+def _labels(cx, n_labels, a):
+    """(a, kappa, n_labels) with the defaults filled in and both checked."""
+    a = list(a) if a is not None else default_exponents(cx)
+    kappa = _check_exponents(cx, a)
+    n_labels = list(n_labels) if n_labels is not None else default_n_labels(cx)
+    _check_n_labels(cx, n_labels)
+    return a, kappa, n_labels
+
+
 def laplacians(cx, a=None):
     """Exact matrices of Delta_q for all degrees; records kappa.
 
     Returns (list of matrices aligned with cx.degrees, kappa).
     """
-    a = list(a) if a is not None else default_exponents(cx)
-    kappa = _check_exponents(cx, a)
+    a, kappa, _ = _labels(cx, None, a)
     out = []
     for q in cx.degrees:
         n = cx.dim(q)
@@ -377,10 +386,7 @@ def _guard_cutoff(spectra, lam):
 
 def zeta_prime_zero(cx, lam=0.0, n_labels=None, a=None):
     """zeta'_lambda(0) = -sum_q (-1)^q N_q sum_{mu in spec(Delta_q), mu > lambda} log mu."""
-    a = list(a) if a is not None else default_exponents(cx)
-    _check_exponents(cx, a)
-    n_labels = list(n_labels) if n_labels is not None else default_n_labels(cx)
-    _check_n_labels(cx, n_labels)
+    a, _, n_labels = _labels(cx, n_labels, a)
     total = 0.0
     for q in cx.degrees:
         mus = delta_spectrum(cx, q, a)
@@ -392,10 +398,7 @@ def zeta_prime_zero(cx, lam=0.0, n_labels=None, a=None):
 
 def zeta_at_zero(cx, lam=0.0, n_labels=None, a=None):
     """zeta_lambda(0) = str(N Q_lambda) as an exact integer."""
-    a = list(a) if a is not None else default_exponents(cx)
-    _check_exponents(cx, a)
-    n_labels = list(n_labels) if n_labels is not None else default_n_labels(cx)
-    _check_n_labels(cx, n_labels)
+    a, _, n_labels = _labels(cx, n_labels, a)
     total = 0
     for q in cx.degrees:
         mus = delta_spectrum(cx, q, a)
@@ -410,12 +413,10 @@ def zeta_prime_zero_exact(cx, n_labels=None, a=None):
     Delta_q is (D*_q D_q)^(a_q) on the coexact part and, by the spectrum
     pairing, (D*_(q-1) D_(q-1))^(a_(q-1)) on the exact part, so
     det'(Delta_q) = sdet_q^(a_q) sdet_(q-1)^(a_(q-1)) over Q; only the
-    final log is float.
+    final logs, of numerator and denominator apart, are float, so det' may
+    lie beyond the float range.
     """
-    a = list(a) if a is not None else default_exponents(cx)
-    n_labels = list(n_labels) if n_labels is not None else default_n_labels(cx)
-    _check_n_labels(cx, n_labels)
-    _check_exponents(cx, a)
+    a, _, n_labels = _labels(cx, n_labels, a)
     total = 0.0
     for q in cx.degrees:
         i = cx.index(q)
@@ -424,7 +425,7 @@ def zeta_prime_zero_exact(cx, n_labels=None, a=None):
             pd *= cx.coexact_det(q) ** a[i]
         if i >= 1:
             pd *= cx.coexact_det(q - 1) ** a[i - 1]
-        total -= _sign(q) * n_labels[i] * math.log(_float(pd, f"det'(Delta_{q})"))
+        total -= _sign(q) * n_labels[i] * (math.log(pd.numerator) - math.log(pd.denominator))
     return total
 
 
@@ -470,8 +471,7 @@ def torsion_norm(cx, reference=None, lam=0.0, n_labels=None, a=None):
     Gram determinants with the (0, lambda] subcomplex torsion; the zeta part
     is exp(-zeta'_lambda(0)/2 kappa).
     """
-    a = list(a) if a is not None else default_exponents(cx)
-    kappa = _check_exponents(cx, a) if a else 1
+    a, kappa, n_labels = _labels(cx, n_labels, a)
     reference = reference or {}
     cleaned = validate_reference(cx, reference)
 
@@ -502,6 +502,7 @@ def torsion_norm(cx, reference=None, lam=0.0, n_labels=None, a=None):
         total=total,
         kappa=kappa,
         cutoff=lam,
+        zeta_prime=zp,
     )
 
 
@@ -527,10 +528,7 @@ def telescoping_check(cx, n_labels=None, a=None):
     """
     if not cx.is_acyclic():
         raise NotAcyclic("telescoping identity needs an acyclic complex")
-    a = list(a) if a is not None else default_exponents(cx)
-    kappa = _check_exponents(cx, a)
-    n_labels = list(n_labels) if n_labels is not None else default_n_labels(cx)
-    _check_n_labels(cx, n_labels)
+    a, kappa, n_labels = _labels(cx, n_labels, a)
     deltas, _ = laplacians(cx, a)
     lhs = Fraction(1)
     for q in cx.degrees:
@@ -543,8 +541,7 @@ def telescoping_check(cx, n_labels=None, a=None):
 
 def euler_heat_trace(cx, a=None, t=1.0):
     """str(e^(-t Delta)) evaluated spectrally; constant in t and equal to chi."""
-    a = list(a) if a is not None else default_exponents(cx)
-    _check_exponents(cx, a)
+    a, _, _ = _labels(cx, None, a)
     total = 0.0
     for q in cx.degrees:
         mus = delta_spectrum(cx, q, a)
@@ -556,8 +553,7 @@ def euler_heat_trace(cx, a=None, t=1.0):
 def z2_check(cx, lam=0.0, n_labels=None, a=None, tol=1e-9):
     """(1/2 kappa) zeta'_lambda(0) equals the Z2-graded form
     -(1/2) d/ds|_0 str_lambda((D*D)^(-s)), evaluated spectrally."""
-    a = list(a) if a is not None else default_exponents(cx)
-    kappa = _check_exponents(cx, a)
+    a, kappa, n_labels = _labels(cx, n_labels, a)
     lhs = zeta_prime_zero(cx, lam, n_labels, a) / (2 * kappa)
     rhs = 0.0
     for q in cx.degrees:

@@ -39,12 +39,6 @@ class GroupElement:
             raise BadGeneratorShape(f"need 5 coordinates, got {len(coords)}")
         object.__setattr__(self, "coords", coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
     def inverse(self):
         return GroupElement(tuple(-x for x in self.coords))
 
@@ -204,9 +198,6 @@ class CharacterPoint:
     def __init__(self, s, t):
         object.__setattr__(self, "s", _mod1(s))
         object.__setattr__(self, "t", _mod1(t))
-
-    def as_floats(self):
-        return float(self.s), float(self.t)
 
 
 def _mod1(x):

@@ -62,10 +62,6 @@ class DimensionVector:
         object.__setattr__(self, "parts", parts)
 
     @property
-    def r(self):
-        return len(self.parts)
-
-    @property
     def d(self):
         return sum(self.parts)
 

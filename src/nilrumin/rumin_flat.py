@@ -13,16 +13,19 @@ ones ``betti_and_weights`` chooses for the metric, and each pi_q is formed
 from them once per degree and used both here and in D.  L is solved from the
 linear system these conditions impose on a grading-homogeneous ansatz: the
 component of L raising the form weight by w carries UEA coefficients of
-Heisenberg order exactly w.  All three conditions are left products, so they
-act on each column of L separately, and the ansatz is the same for every
-column: one column block is solved with the b_q columns of the identity as
-right-hand sides.  One elimination of [a | rhs] decides all: a pivot in a
-right-hand side means no solution, fewer pivots than unknowns no unique one,
-and otherwise the solution is read off the reduced rows.  Each system is
-bounded before it is assembled (``MAX_SYSTEM_CELLS``).  The Rumin
-differential is D = pi d L; purity of the cohomology makes its Heisenberg
-order equal to p_{q+1} - p_q.  ``expressed_over`` rewrites D in another
-metric's harmonic basis, where metric independence is equality.
+Heisenberg order exactly w.  Each condition block preserves the defect
+weight(I) - order of a slot and every right-hand side sits at defect p_q, so
+order slack would only add blocks with zero right-hand side; it cannot make an
+inconsistent system consistent, and none is tried.  All three conditions are
+left products, so they act on each column of L separately, and the ansatz is
+the same for every column: one column block is solved with the b_q columns of
+the identity as right-hand sides.  One elimination of [a | rhs] decides all: a
+pivot in a right-hand side means no solution, fewer pivots than unknowns no
+unique one, and otherwise the solution is read off the reduced rows.  Every
+system is bounded before the cohomology is formed (``MAX_SYSTEM_CELLS``).  The
+Rumin differential is D = pi d L; purity of the cohomology makes its
+Heisenberg order equal to p_{q+1} - p_q.  ``expressed_over`` rewrites D in
+another metric's harmonic basis, where metric independence is equality.
 """
 
 from __future__ import annotations
@@ -122,28 +125,25 @@ class RuminComplex:
         return self.cohomology.k
 
 
-def solve_splitting_L(alg, inner, uea=None, max_extra=None):
+def solve_splitting_L(alg, inner, uea=None):
     """Solve the defining conditions of the splitting operator L for all q.
 
     Returns (L, coh, d_ops, deltas, pis): the per-degree L_q, the cohomology
     of ``inner``, the invariant de Rham operators, the Kostant codifferentials
     and the harmonic projections pi_q, formed once per degree from
     ``coh.harmonic``.  Raises NotPure when the cohomology is not pure, and
-    AnsatzInsufficient when no unique solution exists within the homogeneity
-    ansatz even after raising the per-component order bound up to the
-    homogeneous dimension.
+    AnsatzInsufficient when no unique solution exists within the homogeneous
+    ansatz.
     """
     uea = uea or UEA(alg)
     for q in range(alg.dim + 1):
         # before the cohomology is formed: p_q is at least the least weight of
         # a q-form, and b_q at most the number of q-forms
         basis = exterior_basis(alg.dim, q)
-        _check_system_size(alg, q, min(weight_of(alg, I) for I in basis), 0, len(basis))
+        _check_system_size(alg, q, min(weight_of(alg, I) for I in basis), len(basis))
     coh = betti_and_weights(alg, inner)
     if coh.p is None:
         raise NotPure(f"cohomology weights {coh.weights} are not pure")
-    if max_extra is None:
-        max_extra = alg.homogeneous_dimension
     d_ops = invariant_de_rham(alg, uea)
     deltas = kostant_delta(alg, inner, uea)
     pis = [
@@ -157,15 +157,7 @@ def solve_splitting_L(alg, inner, uea=None, max_extra=None):
         if q < m:
             blocks.append(deltas[q + 1] @ d_ops[q])
         blocks.append(pis[q])
-        for extra in range(max_extra + 1):
-            lq = _solve_L_degree(alg, uea, coh, blocks, q, extra)
-            if lq is not None:
-                L.append(lq)
-                break
-        else:
-            raise AnsatzInsufficient(
-                f"no unique splitting in degree {q} within order bound +{max_extra}"
-            )
+        L.append(_solve_L_degree(alg, uea, coh, blocks, q))
     return L, coh, d_ops, deltas, pis
 
 
@@ -178,55 +170,53 @@ def _monomial_counts(weights, top):
     return n
 
 
-def _check_system_size(alg, q, p_q, extra, b_q):
+def _check_system_size(alg, q, p_q, b_q):
     """The bound on the cells of the degree-q L-system; OutOfRange above
     MAX_SYSTEM_CELLS.
 
-    The columns of [a | rhs] are the slots (row I, monomial of order w_I ..
-    w_I + extra, w_I = weight(I) - p_q) and the b_q right-hand sides.
-    Straightening keeps the Heisenberg order, so a row of delta_q or pi_q
-    meets monomials of the slot orders only, and a row of delta_{q+1} d_q
-    those orders raised by up to the largest weight; the equations are at
-    most rows x monomials, plus the b_q identity rows.  Lowering p_q or
-    raising b_q only raises the bound.
+    The columns of [a | rhs] are the slots (row I, monomial of order
+    w_I = weight(I) - p_q) and the b_q right-hand sides.  Straightening
+    keeps the Heisenberg order, so a row of delta_q or pi_q meets monomials
+    of the slot orders only, and a row of delta_{q+1} d_q those orders raised
+    by up to the largest weight; the equations are at most rows x monomials,
+    plus the b_q identity rows.  Lowering p_q or raising b_q only raises the
+    bound.
     """
     m, top = alg.dim, max(alg.weights, default=0)
     ws = [w for w in (weight_of(alg, I) - p_q for I in exterior_basis(m, q)) if w >= 0]
-    orders = {o for w in ws for o in range(w, w + extra + 1)}
+    orders = set(ws)
     n = _monomial_counts(alg.weights, max(orders, default=0) + top)
     raised = {o + k for o in orders for k in range(top + 1)}
     rows = (len(exterior_basis(m, q - 1)) if q else 0) + b_q
     equations = (rows * sum(n[o] for o in orders) + b_q
                  + (len(exterior_basis(m, q)) if q < m else 0) * sum(n[o] for o in raised))
-    cells = equations * (sum(n[o] for w in ws for o in range(w, w + extra + 1)) + b_q)
+    cells = equations * (sum(n[w] for w in ws) + b_q)
     if cells > MAX_SYSTEM_CELLS:
         raise OutOfRange(f"the degree-{q} splitting system may reach {cells} cells "
                          f"(equations x columns), above MAX_SYSTEM_CELLS = {MAX_SYSTEM_CELLS}")
     return cells
 
 
-def _solve_L_degree(alg, uea, coh, blocks, q, extra):
-    """L_q from one column block, or None when the ansatz is inconsistent.
+def _solve_L_degree(alg, uea, coh, blocks, q):
+    """L_q from one column block.
 
     ``blocks`` are delta_q, delta_{q+1} d_q and pi_q, the last one always
-    present.  The unknowns are one column's slots (row i, monomial) with
-    order in [w_i - p_q, w_i - p_q + extra]; the b_q columns of L are the
-    right-hand sides, the identity placed in pi's rows.  One elimination of
-    [a | rhs] gives consistency, uniqueness and the solution.
+    present.  The unknowns are one column's slots (row I, monomial) of order
+    exactly weight(I) - p_q; the b_q columns of L are the right-hand sides, the
+    identity placed in pi's rows.  One elimination of [a | rhs] gives
+    consistency, uniqueness and the solution; AnsatzInsufficient when the
+    ansatz is inconsistent or underdetermined.
     """
     basis = exterior_basis(alg.dim, q)
     b_q = coh.betti[q]
     if b_q == 0:
         return UEAOperatorMatrix(uea, [[] for _ in basis])
-    _check_system_size(alg, q, coh.p[q], extra, b_q)
+    # b_q > 0, so some q-form has weight p_q and the slots are not empty
     slots = []
     for i, I in enumerate(basis):
         w = weight_of(alg, I) - coh.p[q]
         if w >= 0:
-            for o in range(w, w + extra + 1):
-                slots.extend((i, mono) for mono in uea.monomials_of_order(o))
-    if not slots:
-        return None
+            slots.extend((i, mono) for mono in uea.monomials_of_order(w))
 
     # slot (i, mono) has the coefficient column block[r][i] * X^mono
     eq_index = {}
@@ -255,7 +245,7 @@ def _solve_L_degree(alg, uea, coh, blocks, q, extra):
     # makes 86 333 row updates on heisenberg9 degree 4, not 148 594
     ech, pivots = row_echelon(aug[::-1])
     if pivots and pivots[-1] >= n:
-        return None
+        raise AnsatzInsufficient(f"splitting in degree {q} is inconsistent within the ansatz")
     if len(pivots) < n:
         raise AnsatzInsufficient(
             f"splitting in degree {q} is underdetermined within the ansatz"

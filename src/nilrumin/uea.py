@@ -280,16 +280,6 @@ class UEAOperatorMatrix:
     def __rmatmul__(self, scalar_matrix):
         return UEAOperatorMatrix.from_scalar(self.uea, scalar_matrix, self.rows) @ self
 
-    def __add__(self, other):
-        entries = [[a + b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(self.entries, other.entries)]
-        return UEAOperatorMatrix(self.uea, entries)
-
-    def __sub__(self, other):
-        entries = [[a - b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(self.entries, other.entries)]
-        return UEAOperatorMatrix(self.uea, entries)
-
     def scale(self, c):
         return UEAOperatorMatrix(self.uea, [[e.scale(c) for e in row] for row in self.entries])
 

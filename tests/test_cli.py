@@ -22,7 +22,7 @@ Claims:
     - torsion --check-invariance reports on three complexes are byte-identical
       to tests/golden/, and form each harmonic basis and rank(D_q) once per
       complex (the input and its dual); at lambda = 0 the checks reuse the
-      report's own torsion norm
+      report's own torsion norm and its zeta'
     - a complex above fd_torsion.MAX_DEGREE_DIM in some degree or with more
       than MAX_DEGREES degrees is OutOfRange at once; a reference vector of
       the wrong length is InvalidRepresentatives
@@ -44,6 +44,7 @@ Claims:
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -96,12 +97,15 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_byte_identical_across_processes(self):
-        import subprocess
-        import sys
+        import nilrumin
 
+        # the child imports the package the suite imports, installed or not
+        src = str(Path(nilrumin.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         argv = [sys.executable, "-m", "nilrumin.cli",
                 "cohomology", "--preset", "235", "--format", "json"]
-        runs = [subprocess.run(argv, capture_output=True, check=True).stdout
+        runs = [subprocess.run(argv, capture_output=True, check=True, env=env).stdout
                 for _ in range(2)]
         assert runs[0] == runs[1] and runs[0]
 
@@ -356,6 +360,16 @@ class TestTorsion:
         assert code == 0 and counts["torsion_norm"] == 5
         code, _ = invoke("torsion", "--input", path, "--check-invariance", "--lambda", "0.5")
         assert code == 0 and counts["torsion_norm"] == 11
+
+    def test_check_reads_zeta_prime_off_the_report(self, monkeypatch):
+        # one zeta' in each of the 5 norms above, one for the shifted N and
+        # one in z2_check; the unshifted one is read off the report's norm
+        from nilrumin import fd_torsion
+
+        path = str(GOLDEN / "torsion_reference.input.json")
+        counts = count_calls(monkeypatch, ((fd_torsion, "zeta_prime_zero"),))
+        code, _ = invoke("torsion", "--input", path, "--check-invariance")
+        assert code == 0 and counts["zeta_prime_zero"] == 7
 
     @pytest.mark.parametrize("doc", [
         {"dims": [120], "differentials": []},

@@ -6,8 +6,10 @@ Claims:
     - delta is order 0 with delta^2 = 0 and equals the CE adjoint
     - the splitting L satisfies its three defining conditions, is unique
       (perturbing any coefficient breaks a condition), and for h3 carries an
-      order-1 correction into the theta^3 component; a column block with a
-      kernel is reported as AnsatzInsufficient
+      order-1 correction into the theta^3 component; every coefficient in
+      row I of L_q has Heisenberg order exactly weight(I) - p_q; a column
+      block with a kernel, or an inconsistent one, is reported as
+      AnsatzInsufficient from one call
     - each L-solve eliminates [a | rhs] exactly once (rank is not called), and
       its size is bounded before assembly by an upper bound on the cells of
       [a | rhs], computed before the cohomology too; heisenberg9 is inside
@@ -30,8 +32,10 @@ import pytest
 
 from nilrumin.ce_cohomology import (
     betti_and_weights,
+    exterior_basis,
     identity_metric,
     random_graded_inner_product,
+    weight_of,
 )
 from nilrumin import rumin_flat
 from nilrumin.errors import AnsatzInsufficient, NotPure, OutOfRange
@@ -171,7 +175,34 @@ class TestSplitting:
         proj = orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1))
         blocks = [UEAOperatorMatrix.from_scalar(uea, proj)]
         with pytest.raises(AnsatzInsufficient):
-            _solve_L_degree(alg, uea, coh, blocks, 1, 0)
+            _solve_L_degree(alg, uea, coh, blocks, 1)
+
+    def test_inconsistent_block_raises(self):
+        # [pi_q, pi_q] asks for pi L = 0 and pi L = id at once; no order
+        # slack is tried, so one call names the inconsistency
+        alg = heisenberg(1)
+        inner, uea = identity_metric(alg), UEA(alg)
+        coh = betti_and_weights(alg, inner)
+        proj = UEAOperatorMatrix.from_scalar(
+            uea, orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1)))
+        with pytest.raises(AnsatzInsufficient, match="degree 1 is inconsistent"):
+            _solve_L_degree(alg, uea, coh, [proj, proj], 1)
+
+    @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
+                                      lambda: heisenberg(2), lambda: heisenberg(3)])
+    @pytest.mark.parametrize("metric", ["identity", "random"])
+    def test_entries_have_exactly_the_defect_order(self, make, metric, rng):
+        # every coefficient in row I of L_q has Heisenberg order weight(I) - p_q
+        alg = make()
+        inner = (identity_metric(alg) if metric == "identity"
+                 else random_graded_inner_product(alg, rng))
+        uea = UEA(alg)
+        L, coh, _, _, _ = solve_splitting_L(alg, inner, uea)
+        for q, lq in enumerate(L):
+            for I, row in zip(exterior_basis(alg.dim, q), lq.entries):
+                orders = {uea.monomial_order(mono)
+                          for e in row for mono, c in e.coeffs.items() if c}
+                assert orders <= {weight_of(alg, I) - coh.p[q]}
 
     def test_not_pure_rejected(self):
         mixed = build_algebra((-1, -2), {})  # H^1 weights {1, 2}
@@ -207,7 +238,7 @@ class TestOneElimination:
         proj = orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1))
         with pytest.raises(AnsatzInsufficient):
             rumin_flat._solve_L_degree(alg, uea, coh, [UEAOperatorMatrix.from_scalar(uea, proj)],
-                                       1, 0)
+                                       1)
         assert per_call[-1] == 1
         assert not hasattr(rumin_flat, "rank")
 
@@ -225,11 +256,12 @@ class TestSystemBound:
         monkeypatch.setattr(rumin_flat, "row_echelon",
                             lambda a: cells.append(len(a) * len(a[0])) or echelon(a))
         alg = make()
-        rumin_D(alg, identity_metric(alg))
+        rc = rumin_D(alg, identity_metric(alg))
         n = alg.dim + 1
-        assert len(bounds) == 2 * n and len(cells) == n
+        assert len(bounds) == n and len(cells) == n
         for q in range(n):
-            assert bounds[q] >= bounds[n + q] >= cells[q]
+            actual = check(alg, q, rc.p[q], rc.cohomology.betti[q])
+            assert bounds[q] >= actual >= cells[q]
 
     def test_heisenberg11_rejected_before_cohomology(self, monkeypatch):
         monkeypatch.setattr(rumin_flat, "betti_and_weights",
