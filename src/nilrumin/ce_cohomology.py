@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .errors import DegenerateMetric, GradingViolation, NotPositiveDefinite
 from .rational import (
     adjoint,
     column_space,
     columns_to_matrix,
-    det,
     harmonic_basis,
     identity,
     inverse,
@@ -99,7 +99,8 @@ class GradedInnerProduct:
     """Positive definite Gram matrix on g, block diagonal across degrees.
 
     The induced inner product on g* is the inverse Gram; on Lambda^q g* it is
-    the usual Gram of q-minors.
+    the usual Gram of q-minors.  Every minor is read off one memo of integer
+    minors of s·G*, the dual Gram cleared once over one denominator s.
     """
 
     def __init__(self, alg, gram):
@@ -119,25 +120,67 @@ class GradedInnerProduct:
         if not is_positive_definite(self.gram):
             raise NotPositiveDefinite("Gram matrix is not positive definite")
         self.dual_gram = inverse(self.gram)
+        self._scale = lcm(*(x.denominator for row in self.dual_gram for x in row))
+        # Row r of s·G* as its nonzero (column, integer) pairs: the degree
+        # block of r, so a Laplace expansion never leaves equal degree multisets.
+        self._support = [[(c, x.numerator * (self._scale // x.denominator))
+                          for c, x in enumerate(row) if x] for row in self.dual_gram]
+        self._minors = {}
         self._lambda_grams = {}
+
+    def _minor(self, rows, cols):
+        """Minor of s·G* on the index sets of two equal-size bitmasks, memoised.
+
+        s·G* is symmetric, so a minor and its transpose share one entry.
+        """
+        if rows > cols:
+            rows, cols = cols, rows
+        key = rows << self.algebra.dim | cols
+        value = self._minors.get(key)
+        if value is None:
+            value = self._minors[key] = self._expand(rows, cols)
+        return value
+
+    def _expand(self, rows, cols):
+        """Laplace expansion along the first row; zero entries are skipped."""
+        if not rows:
+            return 1
+        top = (rows & -rows).bit_length() - 1
+        rest = rows & (rows - 1)
+        value = 0
+        for c, x in self._support[top]:
+            bit = 1 << c
+            if cols & bit:
+                term = x * self._minor(rest, cols ^ bit)
+                # (-1)^k for the k-th selected column
+                value += -term if (cols & (bit - 1)).bit_count() & 1 else term
+        return value
 
     def lambda_gram(self, q):
         """Gram matrix of the induced inner product on Lambda^q g*: the minors
         of the dual Gram, 0 unless I and J have the same multiset of degrees."""
         if q not in self._lambda_grams:
             basis = exterior_basis(self.algebra.dim, q)
-            g = self.dual_gram
             degs = self.algebra.degrees
-            kinds = [sorted(degs[a] for a in I) for I in basis]
-            self._lambda_grams[q] = [
-                [det([[g[a][b] for b in J] for a in I]) if kinds[i] == kinds[j]
-                 else Fraction(0) for j, J in enumerate(basis)]
-                for i, I in enumerate(basis)
-            ]
+            kinds = {}
+            for i, I in enumerate(basis):
+                kinds.setdefault(tuple(sorted(degs[a] for a in I)), []).append(i)
+            masks = [sum(1 << a for a in I) for I in basis]
+            scale = self._scale ** q
+            zero = Fraction(0)
+            out = [[zero] * len(basis) for _ in basis]
+            for idx in kinds.values():
+                for pos, i in enumerate(idx):
+                    for j in idx[pos:]:
+                        out[i][j] = out[j][i] = Fraction(self._minor(masks[i], masks[j]), scale)
+            self._lambda_grams[q] = out
         return self._lambda_grams[q]
 
     def det_gram(self):
-        return det(self.gram)
+        """det G = s^m / det(s·G*), the full minor from the same memo."""
+        m = self.algebra.dim
+        full = (1 << m) - 1
+        return Fraction(self._scale ** m, self._minor(full, full))
 
 
 def identity_metric(alg):

@@ -29,7 +29,7 @@ from .errors import (
 from .rational import frac, inverse, mat_mul, mat_vec, rank
 
 # Lambda^5 of an 11-dimensional algebra has C(11, 5) = 462 forms; its
-# cohomology takes 1-2 minutes on a 2-CPU machine (heisenberg9: 2-3 s).
+# cohomology takes about 5 s on a 2-CPU machine (heisenberg11 and abelian:11).
 MAX_DIMENSION = 11
 
 

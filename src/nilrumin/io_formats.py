@@ -29,7 +29,10 @@ def parse_rational(x):
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str) and _RATIONAL_RE.match(x.strip()):
-        return frac(x.strip())
+        try:
+            return frac(x.strip())
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"not a rational: {exc}") from exc
     raise ParseError(f"not a rational: {x!r} (use 'p/q' or 'p')")
 
 
@@ -41,6 +44,8 @@ def load_json(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc.msg}",
                          line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # a JSON number with more digits than int() converts
+        raise ParseError(f"bad number in {path}: {exc}") from exc
 
 
 def algebra_from_dict(doc):

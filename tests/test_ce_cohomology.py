@@ -7,7 +7,10 @@ Claims:
     - the per-weight harmonic bases equal the dense kernel of
       [d_q; d_{q-1}^T G_q] exactly on pure algebras, and as a set of columns,
       grouped by weight, on a non-pure one; the Lambda^q Gram equals the Gram
-      of all minors of the dual Gram
+      of all minors of the dual Gram, entry by entry against det and sympy,
+      and inverts the compound of the Gram (Cauchy-Binet); it and det G come
+      from one memo of integer minors, with no det call and no minor
+      expanded twice
     - purity data is metric independent (20 random graded inner products)
     - Hodge decompositions are orthogonal with the expected dimensions
     - the star operator satisfies its defining wedge identity, is isometric,
@@ -22,6 +25,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilrumin.ce_cohomology import (
     betti_and_weights,
@@ -221,6 +227,81 @@ class TestWeightBlocks:
                 minors = [[det([[g[a][b] for b in J] for a in I]) for J in basis]
                           for I in basis]
                 assert inner.lambda_gram(q) == minors
+
+
+def _explicit_minor(g, rows, cols):
+    return [[g[a][b] for b in cols] for a in rows]
+
+
+class TestLambdaGramMinors:
+    """lambda_gram reads every minor off one memo of integer Laplace minors."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_entries_are_the_minors_of_the_dual_gram(self, seed):
+        rng = random.Random(seed)
+        alg = random_graded_algebra(rng)
+        inner = random_graded_inner_product(alg, rng, spread=rng.randint(1, 3))
+        g = inner.dual_gram
+        for q in range(alg.dim + 1):
+            basis = exterior_basis(alg.dim, q)
+            gram = inner.lambda_gram(q)
+            for i, I in enumerate(basis):
+                for j, J in enumerate(basis):
+                    assert type(gram[i][j]) is Fraction
+                    assert gram[i][j] == det(_explicit_minor(g, I, J))
+            # a second oracle on a few pairs of each degree
+            for _ in range(3):
+                i, j = rng.randrange(len(basis)), rng.randrange(len(basis))
+                sym = sympy.Matrix(_explicit_minor(g, basis[i], basis[j])).det()
+                assert gram[i][j] == Fraction(int(sym.p), int(sym.q))
+        assert type(inner.det_gram()) is Fraction
+        assert inner.det_gram() == det(inner.gram)
+
+    def test_cauchy_binet_inverts_the_compound_of_the_gram(self, rng):
+        # The q-th compound is multiplicative, so C_q(G*) C_q(G) = C_q(I) = I.
+        for alg in [algebra_235(), heisenberg(2)] + [random_graded_algebra(rng)
+                                                    for _ in range(6)]:
+            inner = random_graded_inner_product(alg, rng)
+            for q in range(alg.dim + 1):
+                basis = exterior_basis(alg.dim, q)
+                compound = [[det(_explicit_minor(inner.gram, I, J)) for J in basis]
+                            for I in basis]
+                assert mat_mul(inner.lambda_gram(q), compound) == identity(len(basis))
+
+    def test_no_determinant_and_no_minor_expanded_twice(self, monkeypatch):
+        from nilrumin import ce_cohomology, rational
+
+        inner = random_graded_inner_product(heisenberg(3), random.Random(5))
+        calls = {"det": 0}
+
+        def counted_det(a):
+            calls["det"] += 1
+            return det(a)
+
+        monkeypatch.setattr(rational, "det", counted_det)
+        monkeypatch.setattr(ce_cohomology, "det", counted_det, raising=False)
+        reached, expanded = set(), []
+        minor, expand = inner._minor, inner._expand
+
+        def counted_minor(rows, cols):
+            reached.add((min(rows, cols), max(rows, cols)))
+            return minor(rows, cols)
+
+        def counted_expand(rows, cols):
+            expanded.append((rows, cols))
+            return expand(rows, cols)
+
+        monkeypatch.setattr(inner, "_minor", counted_minor)
+        monkeypatch.setattr(inner, "_expand", counted_expand)
+        grams = [inner.lambda_gram(q) for q in range(8)]
+        det_gram = inner.det_gram()
+        assert calls["det"] == 0
+        assert det_gram == det(inner.gram)
+        assert len(expanded) == len(set(expanded)) == len(inner._minors) == len(reached)
+        # the memo answers a repeated request without expanding
+        assert [inner.lambda_gram(q) for q in range(8)] == grams
+        assert len(expanded) == len(inner._minors)
 
 
 class TestHodge:

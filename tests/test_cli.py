@@ -4,9 +4,9 @@ Claims:
     - reports are byte-identical across repeated runs on every preset, and
       the parser is built once per process
     - the 235 cohomology report carries b, p, k and n = 10
-    - cohomology reports on 235, heisenberg5 and heisenberg7, with the
-      identity metric and with a graded Gram file, are byte-identical to
-      tests/golden/
+    - cohomology reports on 235, heisenberg5, heisenberg7 and heisenberg9,
+      with the identity metric and with a graded Gram file, are
+      byte-identical to tests/golden/
     - family and shape sieve runs emit the documented CSV columns
     - sieve reports on the three benchmark shapes and on --vector 2,1,2
       --emit-p are byte-identical to tests/golden/, and every --shape row
@@ -37,7 +37,9 @@ Claims:
       non-finite or negative --lambda are validation errors; a malformed
       integer in --shape, --vector, --N or --a is a parse error naming the flag
     - a malformed preset name, a non-integer k or a non-integer reference
-      degree in a complex file is a parse error; an algebra above
+      degree in a complex file is a parse error, and so is a rational or JSON
+      number with more digits than int() converts (Gram file, group element,
+      generators file); an algebra above
       MAX_DIMENSION, preset or file, is OutOfRange at once
     - importing nilrumin.cli in a fresh interpreter imports neither sympy nor
       hypothesis (test-only oracles)
@@ -149,7 +151,7 @@ class TestCohomology:
         assert code == 0
         assert json.loads(out)["results"]["p"] == [0, 1, 4, 6, 9, 10]
 
-    @pytest.mark.parametrize("preset", ["235", "heisenberg5", "heisenberg7"])
+    @pytest.mark.parametrize("preset", ["235", "heisenberg5", "heisenberg7", "heisenberg9"])
     def test_report_matches_golden(self, preset):
         code, out = invoke("cohomology", "--preset", preset, "--format", "json")
         assert code == 0
@@ -561,6 +563,39 @@ class TestErrors:
         code, out = invoke("cohomology", "--preset", "abelian:1:-1",
                            "--metric", str(path))
         assert code == 2
+
+    # Python's int() refuses more than 4300 digits with a plain ValueError.
+    HUGE = "1" + "0" * 5000
+
+    def test_oversized_rational_in_metric_exit_two(self, tmp_path):
+        gram = [[self.HUGE if i == j == 0 else str(int(i == j)) for j in range(5)]
+                for i in range(5)]
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"gram": gram}))
+        code, out = invoke("cohomology", "--preset", "235", "--metric", str(path))
+        assert code == 2
+        assert "ParseError" in out
+
+    def test_oversized_json_number_exit_two(self, tmp_path):
+        path = tmp_path / "gram.json"
+        path.write_text('{"gram": [[' + self.HUGE + "]]}")
+        code, out = invoke("cohomology", "--preset", "abelian:1", "--metric", str(path))
+        assert code == 2
+        assert "ParseError" in out
+
+    def test_oversized_rational_in_element_exit_two(self):
+        code, out = invoke("nilgroup", "mul", self.HUGE + ",0,0,0,0", "0,0,0,0,0")
+        assert code == 2
+        assert "ParseError" in out
+
+    def test_oversized_rational_in_generators_exit_two(self, tmp_path):
+        gens = [[self.HUGE if i == j == 0 else str(int(i == j)) for j in range(5)]
+                for i in range(5)]
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps({"generators": gens}))
+        code, out = invoke("nilgroup", "embed", str(path))
+        assert code == 2
+        assert "ParseError" in out
 
 
 class TestColdStart:
