@@ -57,10 +57,6 @@ class AlgebraMismatch(ValidationError):
     pass
 
 
-class AnsatzInsufficient(ValidationError):
-    pass
-
-
 # -- purity sieve --------------------------------------------------------------
 
 class OutOfRange(ValidationError):

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import OutOfRange, ParseError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 from .graded_lie import abelian, algebra_235, build_algebra, heisenberg
@@ -163,7 +163,10 @@ def parse_group_element(text):
 
 def rat_str(x):
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    try:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # more digits than str() converts
+        raise OutOfRange(f"an output rational is too long to print: {exc}") from exc
 
 
 def encode(value):

@@ -2,38 +2,33 @@
 
 On the simply connected group of a graded nilpotent Lie algebra, forms with
 left-invariant coframe coefficients identify with UEA-valued columns, and the
-de Rham differential becomes d = sum_i eps(theta^i) X_i + CE-part.  The
-splitting operator L is pinned by the three conditions
+de Rham differential becomes d = d_0 + N: the CE differential d_0 plus
+N = sum_i eps(theta^i) X_i.  The splitting operator L is pinned by the three
+conditions
 
     delta L = 0,      delta d L = 0,      pi L = id,
 
 with delta the order-0 Kostant codifferential (the CE adjoint) and pi the
-orthogonal projection onto the harmonic subspace.  The harmonic bases are the
-ones ``betti_and_weights`` chooses for the metric, and each pi_q is formed
-from them once per degree and used both here and in D.  L is solved from the
-linear system these conditions impose on a grading-homogeneous ansatz: the
-component of L raising the form weight by w carries UEA coefficients of
-Heisenberg order exactly w.  Each condition block preserves the defect
-weight(I) - order of a slot and every right-hand side sits at defect p_q, so
-order slack would only add blocks with zero right-hand side; it cannot make an
-inconsistent system consistent, and none is tried.  All three conditions are
-left products, so they act on each column of L separately, and the ansatz is
-the same for every column: one column block is solved with the b_q columns of
-the identity as right-hand sides.  One elimination of [a | rhs] decides all: a
-pivot in a right-hand side means no solution, fewer pivots than unknowns no
-unique one, and otherwise the solution is read off the reduced rows.  Every
-system is bounded before the cohomology is formed (``MAX_SYSTEM_CELLS``).  The
-Rumin differential is D = pi d L; purity of the cohomology makes its
-Heisenberg order equal to p_{q+1} - p_q.  ``expressed_over`` rewrites D in
-another metric's harmonic basis, where metric independence is equality.
+orthogonal projection onto the harmonic subspace.  The harmonic bases h are
+the ones ``betti_and_weights`` chooses for the metric, and each pi_q is formed
+from them once per degree and used both here and in D.  L is the terminating
+Neumann series L_q = sum_k (-G delta N)^k h_q of the BGG construction
+(Cap-Slovak-Soucek; Calderbank-Diemer), with G the Green operator of the
+Kostant Laplacian delta d_0 + d_0 delta, formed per weight block.  Each factor
+raises the form weight by at least 1, so the series ends, and the sum meets
+the three conditions, whose solution is unique.  The size of L is bounded
+before the cohomology is formed (``MAX_SPLITTING_COEFFICIENTS``).  The Rumin
+differential is D = pi d L; purity of the cohomology makes its Heisenberg
+order equal to p_{q+1} - p_q.  ``expressed_over`` rewrites D in another
+metric's harmonic basis, where metric independence is equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ce_cohomology import (
+    _weight_blocks,
     betti_and_weights,
     ce_differential,
     exterior_basis,
@@ -41,25 +36,22 @@ from .ce_cohomology import (
     star,
     weight_of,
 )
-from .errors import AnsatzInsufficient, NotPure, OutOfRange
+from .errors import NotPure, OutOfRange
 from .rational import (
     adjoint,
     column_space,
     inverse,
     mat_mul,
     orthogonal_projection,
-    row_echelon,
     solve,
     transpose,
-    zeros,
 )
 from .uea import UEA, UEAOperatorMatrix, formal_adjoint
 
-# Largest L-system accepted, as the a-priori bound of ``_check_system_size``
-# on equations x columns of [a | rhs].  Before the cohomology is known the
-# bound of heisenberg9 peaks at 1.8e7 cells (its largest actual system is
-# 518 x 560) and that of heisenberg11 at 4.7e8.
-MAX_SYSTEM_CELLS = 5 * 10**7
+# Largest splitting operator accepted, as the bound of ``_check_splitting_size``
+# on the coefficients of one L_q.  It is 77 616 on heisenberg9, 213 444 on
+# abelian:11 and 1 261 260 on heisenberg11.
+MAX_SPLITTING_COEFFICIENTS = 5 * 10**5
 
 
 def invariant_de_rham(alg, uea=None):
@@ -126,38 +118,26 @@ class RuminComplex:
 
 
 def solve_splitting_L(alg, inner, uea=None):
-    """Solve the defining conditions of the splitting operator L for all q.
+    """The splitting operator L for all q, as a terminating Neumann series.
 
     Returns (L, coh, d_ops, deltas, pis): the per-degree L_q, the cohomology
     of ``inner``, the invariant de Rham operators, the Kostant codifferentials
     and the harmonic projections pi_q, formed once per degree from
-    ``coh.harmonic``.  Raises NotPure when the cohomology is not pure, and
-    AnsatzInsufficient when no unique solution exists within the homogeneous
-    ansatz.
+    ``coh.harmonic``.  Raises OutOfRange when L may exceed
+    MAX_SPLITTING_COEFFICIENTS and NotPure when the cohomology is not pure.
     """
     uea = uea or UEA(alg)
-    for q in range(alg.dim + 1):
-        # before the cohomology is formed: p_q is at least the least weight of
-        # a q-form, and b_q at most the number of q-forms
-        basis = exterior_basis(alg.dim, q)
-        _check_system_size(alg, q, min(weight_of(alg, I) for I in basis), len(basis))
+    _check_splitting_size(alg)
     coh = betti_and_weights(alg, inner)
     if coh.p is None:
         raise NotPure(f"cohomology weights {coh.weights} are not pure")
     d_ops = invariant_de_rham(alg, uea)
     deltas = kostant_delta(alg, inner, uea)
-    pis = [
-        UEAOperatorMatrix.from_scalar(uea, orthogonal_projection(h, inner.lambda_gram(q)))
-        for q, h in enumerate(coh.harmonic)
-    ]
-    m = alg.dim
-    L = []
-    for q in range(m + 1):
-        blocks = [deltas[q]] if q >= 1 else []
-        if q < m:
-            blocks.append(deltas[q + 1] @ d_ops[q])
-        blocks.append(pis[q])
-        L.append(_solve_L_degree(alg, uea, coh, blocks, q))
+    projections = [orthogonal_projection(h, inner.lambda_gram(q))
+                   for q, h in enumerate(coh.harmonic)]
+    pis = [UEAOperatorMatrix.from_scalar(uea, pi) for pi in projections]
+    L = [_splitting_series(alg, uea, q, coh.harmonic[q], projections[q], d_ops, deltas)
+         for q in range(alg.dim + 1)]
     return L, coh, d_ops, deltas, pis
 
 
@@ -170,93 +150,77 @@ def _monomial_counts(weights, top):
     return n
 
 
-def _check_system_size(alg, q, p_q, b_q):
-    """The bound on the cells of the degree-q L-system; OutOfRange above
-    MAX_SYSTEM_CELLS.
+def _check_splitting_size(alg):
+    """Bound the coefficients of every L_q before the cohomology is formed;
+    OutOfRange above MAX_SPLITTING_COEFFICIENTS.
 
-    The columns of [a | rhs] are the slots (row I, monomial of order
-    w_I = weight(I) - p_q) and the b_q right-hand sides.  Straightening
-    keeps the Heisenberg order, so a row of delta_q or pi_q meets monomials
-    of the slot orders only, and a row of delta_{q+1} d_q those orders raised
-    by up to the largest weight; the equations are at most rows x monomials,
-    plus the b_q identity rows.  Lowering p_q or raising b_q only raises the
-    bound.
+    Row I of L_q has b_q entries of Heisenberg order weight(I) - p_q.  Taking
+    p_q as the least weight of a q-form and b_q as the number of q-forms only
+    raises the count.
     """
-    m, top = alg.dim, max(alg.weights, default=0)
-    ws = [w for w in (weight_of(alg, I) - p_q for I in exterior_basis(m, q)) if w >= 0]
-    orders = set(ws)
-    n = _monomial_counts(alg.weights, max(orders, default=0) + top)
-    raised = {o + k for o in orders for k in range(top + 1)}
-    rows = (len(exterior_basis(m, q - 1)) if q else 0) + b_q
-    equations = (rows * sum(n[o] for o in orders) + b_q
-                 + (len(exterior_basis(m, q)) if q < m else 0) * sum(n[o] for o in raised))
-    cells = equations * (sum(n[w] for w in ws) + b_q)
-    if cells > MAX_SYSTEM_CELLS:
-        raise OutOfRange(f"the degree-{q} splitting system may reach {cells} cells "
-                         f"(equations x columns), above MAX_SYSTEM_CELLS = {MAX_SYSTEM_CELLS}")
-    return cells
+    m = alg.dim
+    for q in range(m + 1):
+        ws = [weight_of(alg, I) for I in exterior_basis(m, q)]
+        n = _monomial_counts(alg.weights, max(ws) - min(ws))
+        size = len(ws) * sum(n[w - min(ws)] for w in ws)
+        if size > MAX_SPLITTING_COEFFICIENTS:
+            raise OutOfRange(f"the degree-{q} splitting operator may reach {size} coefficients, "
+                             f"above MAX_SPLITTING_COEFFICIENTS = {MAX_SPLITTING_COEFFICIENTS}")
 
 
-def _solve_L_degree(alg, uea, coh, blocks, q):
-    """L_q from one column block.
+def _splitting_series(alg, uea, q, h, pi, d_ops, deltas):
+    """L_q = sum_k M^k h with M = -G delta_{q+1} N_q, summed to the first zero term.
 
-    ``blocks`` are delta_q, delta_{q+1} d_q and pi_q, the last one always
-    present.  The unknowns are one column's slots (row I, monomial) of order
-    exactly weight(I) - p_q; the b_q columns of L are the right-hand sides, the
-    identity placed in pi's rows.  One elimination of [a | rhs] gives
-    consistency, uniqueness and the solution; AnsatzInsufficient when the
-    ansatz is inconsistent or underdetermined.
+    N_q is the positive-order part of d_q, and G the Green operator of the
+    Kostant Laplacian box = delta d_0 + d_0 delta: (box + P)^-1 - P with
+    P = h pi.  Since P delta = 0, G delta = (box + P)^-1 delta.  box, P and
+    delta keep the form weight, so G delta is solved per weight block; N, and
+    so M, raises it by at least 1, which ends the series.
     """
-    basis = exterior_basis(alg.dim, q)
-    b_q = coh.betti[q]
-    if b_q == 0:
-        return UEAOperatorMatrix(uea, [[] for _ in basis])
-    # b_q > 0, so some q-form has weight p_q and the slots are not empty
-    slots = []
-    for i, I in enumerate(basis):
-        w = weight_of(alg, I) - coh.p[q]
-        if w >= 0:
-            slots.extend((i, mono) for mono in uea.monomials_of_order(w))
-
-    # slot (i, mono) has the coefficient column block[r][i] * X^mono
-    eq_index = {}
-    columns = []
-    for i, mono in slots:
-        x_mono = {mono: Fraction(1)}
-        col = {}
-        for t, block in enumerate(blocks):
-            for r, row in enumerate(block.entries):
-                prod = {}
-                uea._mul_into(prod, row[i].coeffs, x_mono)
-                for exps, coeff in prod.items():
-                    if coeff:
-                        col[eq_index.setdefault((t, r, exps), len(eq_index))] = coeff
-        columns.append(col)
-    t_pi, zero_mono = len(blocks) - 1, (0,) * alg.dim
-    id_rows = [eq_index.setdefault((t_pi, j, zero_mono), len(eq_index)) for j in range(b_q)]
-    n = len(slots)
-    aug = zeros(len(eq_index), n + b_q)
-    for u, col in enumerate(columns):
-        for r, v in col.items():
-            aug[r][u] = v
-    for j, r in enumerate(id_rows):
-        aug[r][n + j] = Fraction(1)
-    # rows are numbered as slots first reach them; reversed, the elimination
-    # makes 86 333 row updates on heisenberg9 degree 4, not 148 594
-    ech, pivots = row_echelon(aug[::-1])
-    if pivots and pivots[-1] >= n:
-        raise AnsatzInsufficient(f"splitting in degree {q} is inconsistent within the ansatz")
-    if len(pivots) < n:
-        raise AnsatzInsufficient(
-            f"splitting in degree {q} is underdetermined within the ansatz"
-        )
-    # every unknown is a pivot, so row u of the reduced form is slot u's, over d
-    d = ech[0][0]
-    entries = [[{} for _ in range(b_q)] for _ in basis]
-    for (i, mono), row in zip(slots, ech):
-        for j in range(b_q):
-            entries[i][j][mono] = Fraction(row[n + j], d)
-    return UEAOperatorMatrix(uea, [[uea.element(e) for e in row] for row in entries])
+    term = UEAOperatorMatrix.from_scalar(uea, h)
+    if q == alg.dim:
+        return term
+    d0 = d_ops[q].order_zero_part()
+    d0_prev = d_ops[q - 1].order_zero_part() if q else []
+    delta = deltas[q + 1].order_zero_part()
+    delta_q = deltas[q].order_zero_part() if q else []
+    below, here, above = (_weight_blocks(alg, q + s) for s in (-1, 0, 1))
+    # -G delta per weight block, as (row, entry) pairs of each column J
+    neg_g_delta = {}
+    for w, rows in here.items():
+        cols, lower = above.get(w), below.get(w, [])
+        if not cols:
+            continue
+        # box + P = [delta | d0_prev | h] [d0 ; delta_q ; pi] on the block
+        left = [[delta[r][c] for c in cols] + [d0_prev[r][c] for c in lower] + h[r]
+                for r in rows]
+        right = ([[d0[c][r] for r in rows] for c in cols]
+                 + [[delta_q[c][r] for r in rows] for c in lower]
+                 + [[row[r] for r in rows] for row in pi])
+        block = solve(mat_mul(left, right), [[delta[r][c] for c in cols] for r in rows])
+        for j, J in enumerate(cols):
+            neg_g_delta[J] = [(r, -row[j]) for r, row in zip(rows, block) if row[j]]
+    # M = -G delta N from the generator terms of d_q; the terms through
+    # different J that meet in one entry (r, c) of M are added
+    zero = (0,) * alg.dim
+    entries = {}
+    for J, d_row in enumerate(d_ops[q].entries):
+        for c, e in enumerate(d_row):
+            gens = [(mono, x) for mono, x in e.coeffs.items() if mono != zero]
+            for r, f in neg_g_delta.get(J, ()) if gens else ():
+                acc = entries.setdefault((r, c), {})
+                for mono, x in gens:
+                    acc[mono] = acc.get(mono, 0) + f * x
+    none = uea.zero()
+    step = UEAOperatorMatrix(uea, [[uea.element(entries[r, c]) if (r, c) in entries else none
+                                    for c in range(len(h))] for r in range(len(h))])
+    total = term
+    while True:
+        term = step @ term
+        if term.is_zero():
+            return total
+        total = UEAOperatorMatrix(uea, [[a + b if b.coeffs else a for a, b in zip(x, y)]
+                                        for x, y in zip(total.entries, term.entries)])
 
 
 def rumin_D(alg, inner):

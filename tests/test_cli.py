@@ -17,7 +17,7 @@ Claims:
       235 forms each metric's Hodge data, d and delta once (6 metrics)
     - rumin reports on 235, heisenberg5, heisenberg7 and heisenberg9 are
       byte-identical to tests/golden/, with orders = k; rumin on heisenberg11
-      is OutOfRange (MAX_SYSTEM_CELLS) in under a second
+      is OutOfRange (MAX_SPLITTING_COEFFICIENTS) in under a second
     - torsion reads a complex file and honors --lambda/--N/--a
     - torsion --check-invariance reports on three complexes are byte-identical
       to tests/golden/, and form each harmonic basis and rank(D_q) once per
@@ -40,7 +40,8 @@ Claims:
       degree in a complex file is a parse error, and so is a rational or JSON
       number with more digits than int() converts (Gram file, group element,
       generators file); an algebra above
-      MAX_DIMENSION, preset or file, is OutOfRange at once
+      MAX_DIMENSION, preset or file, is OutOfRange at once, and so is a
+      report whose output rational has more digits than str() converts
     - importing nilrumin.cli in a fresh interpreter imports neither sympy nor
       hypothesis (test-only oracles)
 """
@@ -282,13 +283,14 @@ class TestRumin:
         assert res["orders"] == res["k"]
 
     def test_oversized_system_fails_fast(self):
-        # heisenberg11 is inside MAX_DIMENSION, but its L-systems are not
-        # inside MAX_SYSTEM_CELLS; the bound is checked before the cohomology
+        # heisenberg11 is inside MAX_DIMENSION, but its splitting operator is
+        # not inside MAX_SPLITTING_COEFFICIENTS; the bound is checked before
+        # the cohomology
         start = time.perf_counter()
         code, out = invoke("rumin", "--preset", "heisenberg11")
         assert time.perf_counter() - start < 1
         assert code == 1
-        assert "OutOfRange" in out and "MAX_SYSTEM_CELLS" in out
+        assert "OutOfRange" in out and "MAX_SPLITTING_COEFFICIENTS" in out
 
 
 class TestTorsion:
@@ -596,6 +598,13 @@ class TestErrors:
         code, out = invoke("nilgroup", "embed", str(path))
         assert code == 2
         assert "ParseError" in out
+
+    def test_oversized_output_exit_one(self):
+        # two accepted 4001-digit coordinates whose product has 8001 digits
+        big = "1" + "0" * 4000
+        code, out = invoke("nilgroup", "mul", big + ",0,0,0,0", "0," + big + ",0,0,0")
+        assert code == 1
+        assert "OutOfRange" in out
 
 
 class TestColdStart:

@@ -4,19 +4,19 @@ Claims:
     - d = sum eps(theta^i) X_i + CE-part satisfies d^2 = 0 symbolically and
       its order-0 part is the CE differential
     - delta is order 0 with delta^2 = 0 and equals the CE adjoint
-    - the splitting L satisfies its three defining conditions, is unique
-      (perturbing any coefficient breaks a condition), and for h3 carries an
-      order-1 correction into the theta^3 component; every coefficient in
-      row I of L_q has Heisenberg order exactly weight(I) - p_q; a column
-      block with a kernel, or an inconsistent one, is reported as
-      AnsatzInsufficient from one call
-    - each L-solve eliminates [a | rhs] exactly once (rank is not called), and
-      its size is bounded before assembly by an upper bound on the cells of
-      [a | rhs], computed before the cohomology too; heisenberg9 is inside
-      MAX_SYSTEM_CELLS and heisenberg11 outside
+    - the splitting L satisfies its three defining conditions exactly in every
+      degree of 235, h3, h5, h7 and abelian:3, under the identity and a random
+      metric; it is unique (perturbing any coefficient breaks a condition), and
+      for h3 carries an order-1 correction into the theta^3 component; every
+      coefficient in row I of L_q has Heisenberg order exactly
+      weight(I) - p_q
+    - the size of L is bounded before the cohomology is formed: heisenberg11
+      is outside MAX_SPLITTING_COEFFICIENTS
     - D = pi d L: D^2 = 0, Heisenberg orders match k_q (h7 included), D_0 on
       the (2,3,5) model is (X_1, X_2), abelian models give back the full de
       Rham operator
+    - L is a chain map, d_q L_q = L_{q+1} D_q, on 235, h3, h5 and h7 under
+      the identity and a random metric, and doubling D_0 breaks it
     - D is exactly identical across random graded inner products once
       expressed over a common reference complex, and expressing a complex
       over itself changes nothing
@@ -31,18 +31,15 @@ from fractions import Fraction
 import pytest
 
 from nilrumin.ce_cohomology import (
-    betti_and_weights,
     exterior_basis,
     identity_metric,
     random_graded_inner_product,
     weight_of,
 )
 from nilrumin import rumin_flat
-from nilrumin.errors import AnsatzInsufficient, NotPure, OutOfRange
+from nilrumin.errors import NotPure, OutOfRange
 from nilrumin.graded_lie import abelian, algebra_235, build_algebra, heisenberg
-from nilrumin.rational import orthogonal_projection
 from nilrumin.rumin_flat import (
-    _solve_L_degree,
     expressed_over,
     gr_equals_ce,
     invariant_de_rham,
@@ -133,60 +130,43 @@ class TestSplitting:
     @pytest.mark.parametrize("make,degrees", [
         (lambda: heisenberg(1), (0, 1, 2, 3)),
         (algebra_235, (1, 2)),
+        (lambda: heisenberg(2), ()),
+        (lambda: heisenberg(3), ()),
+        (lambda: abelian(3), ()),
     ])
-    def test_uniqueness_by_perturbation(self, make, degrees):
-        # adding 1 to any single monomial coefficient of L breaks a condition
+    def test_uniqueness_by_perturbation(self, make, degrees, rng):
+        # under the identity and a random metric, L satisfies its three
+        # conditions in every degree, and adding 1 to any single monomial
+        # coefficient of L_q, q in ``degrees``, breaks one
         alg = make()
-        inner = identity_metric(alg)
-        uea = UEA(alg)
-        L, coh, d_ops, deltas, pis = solve_splitting_L(alg, inner, uea)
-        for q in degrees:
-            lq = L[q]
-            proj_op = pis[q]
-            ident = UEAOperatorMatrix.from_scalar(
-                uea, [[1 if i == j else 0 for j in range(coh.betti[q])]
-                      for i in range(coh.betti[q])])
+        for inner in (identity_metric(alg), random_graded_inner_product(alg, rng)):
+            uea = UEA(alg)
+            L, coh, d_ops, deltas, pis = solve_splitting_L(alg, inner, uea)
+            for q, lq in enumerate(L):
+                ident = UEAOperatorMatrix.from_scalar(
+                    uea, [[1 if i == j else 0 for j in range(coh.betti[q])]
+                          for i in range(coh.betti[q])])
 
-            def conditions_hold(op):
-                if q >= 1 and not (deltas[q] @ op).is_zero():
-                    return False
-                if q < alg.dim and not (deltas[q + 1] @ (d_ops[q] @ op)).is_zero():
-                    return False
-                return (proj_op @ op) == ident
+                def conditions_hold(op):
+                    if q >= 1 and not (deltas[q] @ op).is_zero():
+                        return False
+                    if q < alg.dim and not (deltas[q + 1] @ (d_ops[q] @ op)).is_zero():
+                        return False
+                    return (pis[q] @ op) == ident
 
-            assert conditions_hold(lq)
-            slots = [(i, j, mono)
-                     for i, row in enumerate(lq.entries)
-                     for j, e in enumerate(row)
-                     for mono in e.coeffs]
-            for (i, j, mono) in slots:
-                perturbed = UEAOperatorMatrix(
-                    uea, [[e for e in row] for row in lq.entries])
-                perturbed.entries[i][j] = perturbed.entries[i][j] + uea.element(
-                    {mono: Fraction(1)})
-                assert not conditions_hold(perturbed)
-
-    def test_underdetermined_block_raises(self):
-        # without the delta conditions, pi L = id alone leaves L free
-        alg = heisenberg(1)
-        inner = identity_metric(alg)
-        uea = UEA(alg)
-        coh = betti_and_weights(alg, inner)
-        proj = orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1))
-        blocks = [UEAOperatorMatrix.from_scalar(uea, proj)]
-        with pytest.raises(AnsatzInsufficient):
-            _solve_L_degree(alg, uea, coh, blocks, 1)
-
-    def test_inconsistent_block_raises(self):
-        # [pi_q, pi_q] asks for pi L = 0 and pi L = id at once; no order
-        # slack is tried, so one call names the inconsistency
-        alg = heisenberg(1)
-        inner, uea = identity_metric(alg), UEA(alg)
-        coh = betti_and_weights(alg, inner)
-        proj = UEAOperatorMatrix.from_scalar(
-            uea, orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1)))
-        with pytest.raises(AnsatzInsufficient, match="degree 1 is inconsistent"):
-            _solve_L_degree(alg, uea, coh, [proj, proj], 1)
+                assert conditions_hold(lq)
+                if q not in degrees:
+                    continue
+                slots = [(i, j, mono)
+                         for i, row in enumerate(lq.entries)
+                         for j, e in enumerate(row)
+                         for mono in e.coeffs]
+                for (i, j, mono) in slots:
+                    perturbed = UEAOperatorMatrix(
+                        uea, [[e for e in row] for row in lq.entries])
+                    perturbed.entries[i][j] = perturbed.entries[i][j] + uea.element(
+                        {mono: Fraction(1)})
+                    assert not conditions_hold(perturbed)
 
     @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
                                       lambda: heisenberg(2), lambda: heisenberg(3)])
@@ -210,64 +190,12 @@ class TestSplitting:
             solve_splitting_L(mixed, identity_metric(mixed))
 
 
-class TestOneElimination:
-    def test_one_row_echelon_per_solve(self, monkeypatch):
-        echelons, per_call = [], []
-        echelon, solve_degree = rumin_flat.row_echelon, rumin_flat._solve_L_degree
-
-        def counted_echelon(a):
-            echelons.append(a)
-            return echelon(a)
-
-        def counted_solve(*args):
-            before = len(echelons)
-            try:
-                return solve_degree(*args)
-            finally:
-                per_call.append(len(echelons) - before)
-
-        monkeypatch.setattr(rumin_flat, "row_echelon", counted_echelon)
-        monkeypatch.setattr(rumin_flat, "_solve_L_degree", counted_solve)
-        for alg in (algebra_235(), heisenberg(2)):
-            rumin_D(alg, identity_metric(alg))
-        assert len(per_call) == 6 + 6 and per_call == [1] * len(per_call)
-        # an underdetermined block is told apart by the same one elimination
-        alg = heisenberg(1)
-        inner, uea = identity_metric(alg), UEA(alg)
-        coh = betti_and_weights(alg, inner)
-        proj = orthogonal_projection(coh.harmonic[1], inner.lambda_gram(1))
-        with pytest.raises(AnsatzInsufficient):
-            rumin_flat._solve_L_degree(alg, uea, coh, [UEAOperatorMatrix.from_scalar(uea, proj)],
-                                       1)
-        assert per_call[-1] == 1
-        assert not hasattr(rumin_flat, "rank")
-
-
 class TestSystemBound:
-    @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
-                                      lambda: heisenberg(2), lambda: heisenberg(3)])
-    def test_bound_covers_the_system(self, make, monkeypatch):
-        # per degree: bound before the cohomology >= bound with the actual
-        # p_q and b_q >= cells of the [a | rhs] that is eliminated
-        bounds, cells = [], []
-        check, echelon = rumin_flat._check_system_size, rumin_flat.row_echelon
-        monkeypatch.setattr(rumin_flat, "_check_system_size",
-                            lambda *args: bounds.append(check(*args)) or bounds[-1])
-        monkeypatch.setattr(rumin_flat, "row_echelon",
-                            lambda a: cells.append(len(a) * len(a[0])) or echelon(a))
-        alg = make()
-        rc = rumin_D(alg, identity_metric(alg))
-        n = alg.dim + 1
-        assert len(bounds) == n and len(cells) == n
-        for q in range(n):
-            actual = check(alg, q, rc.p[q], rc.cohomology.betti[q])
-            assert bounds[q] >= actual >= cells[q]
-
     def test_heisenberg11_rejected_before_cohomology(self, monkeypatch):
         monkeypatch.setattr(rumin_flat, "betti_and_weights",
                             lambda *args: pytest.fail("cohomology formed"))
         alg = heisenberg(5)
-        with pytest.raises(OutOfRange, match="MAX_SYSTEM_CELLS"):
+        with pytest.raises(OutOfRange, match="MAX_SPLITTING_COEFFICIENTS"):
             solve_splitting_L(alg, identity_metric(alg))
 
 
@@ -313,6 +241,19 @@ class TestRuminD:
             orders = [e.order() for row in rc.D[q].entries
                       for e in row if not e.is_zero()]
             assert max(orders) == rc.k[q]
+
+    @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1),
+                                      lambda: heisenberg(2), lambda: heisenberg(3)])
+    @pytest.mark.parametrize("metric", ["identity", "random"])
+    def test_splitting_is_a_chain_map(self, make, metric, rng):
+        # d_q L_q = L_{q+1} D_q; a wrong D breaks it
+        alg = make()
+        inner = (identity_metric(alg) if metric == "identity"
+                 else random_graded_inner_product(alg, rng))
+        rc = rumin_D(alg, inner)
+        for q in range(alg.dim):
+            assert rc.d_ops[q] @ rc.L[q] == rc.L[q + 1] @ rc.D[q]
+        assert rc.d_ops[0] @ rc.L[0] != rc.L[1] @ rc.D[0].scale(2)
 
     @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(2)])
     @pytest.mark.parametrize("metric", ["identity", "random"])
