@@ -27,6 +27,7 @@ from .io_formats import (
     render_report,
     report_document,
 )
+from .rational import mat_mul
 
 
 @functools.cache
@@ -288,7 +289,7 @@ def _rumin_checks(rc, seed):
         (d_ops[q + 1] @ d_ops[q]).is_zero() for q in range(alg.dim - 1)
     )
     checks["delta_squared_zero"] = all(
-        (deltas[q] @ deltas[q + 1]).is_zero() for q in range(1, alg.dim)
+        not any(map(any, mat_mul(deltas[q], deltas[q + 1]))) for q in range(1, alg.dim)
     )
     checks["gr_d_equals_ce"] = rumin_flat.gr_equals_ce(alg, d_ops)
     checks["D_squared_zero"] = all(

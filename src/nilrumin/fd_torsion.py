@@ -484,13 +484,18 @@ def torsion_norm(cx, reference=None, lam=0.0, n_labels=None, a=None):
     finite = 1.0
     for q, (_, gram_h) in cleaned.items():
         finite *= _float(det(gram_h), f"degree {q} harmonic Gram determinant") ** (_sign(q) / 2.0)
-    # torsion of the (0, lambda] subcomplex: sdet(D*D restricted)^(-1/2)
+    # torsion of the (0, lambda] subcomplex: sdet(D*D restricted)^(-1/2),
+    # as one sum of logs, so that no partial product leaves the float range
+    log_small = 0.0
     for q in cx.degrees:
         i = cx.index(q)
         if 0 <= i < len(a):
             small = [nu for nu in cx.spec_plus(q) if nu ** a[i] <= lam]
-            for nu in small:
-                finite *= nu ** (-_sign(q) / 2.0)
+            log_small -= _sign(q) / 2.0 * math.fsum(map(math.log, small))
+    try:
+        finite *= math.exp(log_small)
+    except OverflowError:
+        finite = math.inf
     # the norm is positive: 0.0 or inf is an underflow or overflow, not a value
     total = zeta_part * finite
     if not 0 < total < math.inf:

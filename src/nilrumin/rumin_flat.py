@@ -10,17 +10,19 @@ conditions
 
 with delta the order-0 Kostant codifferential (the CE adjoint) and pi the
 orthogonal projection onto the harmonic subspace.  The harmonic bases h are
-the ones ``betti_and_weights`` chooses for the metric, and each pi_q is formed
-from them once per degree and used both here and in D.  L is the terminating
-Neumann series L_q = sum_k (-G delta N)^k h_q of the BGG construction
-(Cap-Slovak-Soucek; Calderbank-Diemer), with G the Green operator of the
-Kostant Laplacian delta d_0 + d_0 delta, formed per weight block.  Each factor
-raises the form weight by at least 1, so the series ends, and the sum meets
-the three conditions, whose solution is unique.  The size of L is bounded
-before the cohomology is formed (``MAX_SPLITTING_COEFFICIENTS``).  The Rumin
-differential is D = pi d L; purity of the cohomology makes its Heisenberg
-order equal to p_{q+1} - p_q.  ``expressed_over`` rewrites D in another
-metric's harmonic basis, where metric independence is equality.
+the ones ``betti_and_weights`` chooses for the metric.  delta_q and pi_q are
+order 0, so they stay rational matrices on Lambda^q g*, formed once per
+degree; pi meets the UEA only in the product that forms D.  ``rumin_D`` sums
+L as the terminating Neumann series L_q = sum_k (-G delta N)^k h_q of the BGG
+construction (Cap-Slovak-Soucek; Calderbank-Diemer), with G the Green
+operator of the Kostant Laplacian delta d_0 + d_0 delta, formed per weight
+block.  Each factor raises the form weight by at least 1, so the series ends,
+and the sum meets the three conditions, whose solution is unique.  The size
+of L is bounded before the cohomology is formed
+(``MAX_SPLITTING_COEFFICIENTS``).  The Rumin differential is D = pi d L;
+purity of the cohomology makes its Heisenberg order equal to p_{q+1} - p_q.
+``expressed_over`` rewrites D in another metric's harmonic basis, where
+metric independence is equality; the change of basis is C = pi^ref h^rc.
 """
 
 from __future__ import annotations
@@ -37,15 +39,7 @@ from .ce_cohomology import (
     weight_of,
 )
 from .errors import NotPure, OutOfRange
-from .rational import (
-    adjoint,
-    column_space,
-    inverse,
-    mat_mul,
-    orthogonal_projection,
-    solve,
-    transpose,
-)
+from .rational import adjoint, inverse, mat_mul, orthogonal_projection, solve, transpose
 from .uea import UEA, UEAOperatorMatrix, formal_adjoint
 
 # Largest splitting operator accepted, as the bound of ``_check_splitting_size``
@@ -79,19 +73,16 @@ def invariant_de_rham(alg, uea=None):
     return out
 
 
-def kostant_delta(alg, inner, uea=None):
-    """Order-0 codifferentials delta_q: Lambda^q -> Lambda^(q-1), q = 1..m.
+def kostant_delta(alg, inner):
+    """Order-0 codifferentials delta_q: Lambda^q -> Lambda^(q-1), q = 1..m,
+    as rational matrices.
 
     In the flat model with the identity splitting, delta is the CE adjoint
     with respect to the induced inner products; delta^2 = 0.
     """
-    uea = uea or UEA(alg)
-    out = {}
-    for q in range(1, alg.dim + 1):
-        d_prev = ce_differential(alg, q - 1)
-        adj = adjoint(d_prev, inner.lambda_gram(q - 1), inner.lambda_gram(q))
-        out[q] = UEAOperatorMatrix.from_scalar(uea, adj)
-    return out
+    return {q: adjoint(ce_differential(alg, q - 1), inner.lambda_gram(q - 1),
+                       inner.lambda_gram(q))
+            for q in range(1, alg.dim + 1)}
 
 
 @dataclass
@@ -105,8 +96,9 @@ class RuminComplex:
     L: list            # per q: UEA matrix, Lambda^q rows x b_q columns
     D: list            # per q in 0..m-1: UEA matrix, b_{q+1} x b_q
     orders: tuple      # attained Heisenberg order of each D_q
-    d_ops: list        # invariant de Rham d_q the splitting was solved with
-    deltas: dict       # Kostant delta_q of the metric, q = 1..m
+    d_ops: list        # invariant de Rham d_q the splitting was summed with
+    deltas: dict       # rational Kostant delta_q of the metric, q = 1..m
+    pis: list          # rational harmonic projection pi_q, b_q x Lambda^q
 
     @property
     def p(self):
@@ -115,30 +107,6 @@ class RuminComplex:
     @property
     def k(self):
         return self.cohomology.k
-
-
-def solve_splitting_L(alg, inner, uea=None):
-    """The splitting operator L for all q, as a terminating Neumann series.
-
-    Returns (L, coh, d_ops, deltas, pis): the per-degree L_q, the cohomology
-    of ``inner``, the invariant de Rham operators, the Kostant codifferentials
-    and the harmonic projections pi_q, formed once per degree from
-    ``coh.harmonic``.  Raises OutOfRange when L may exceed
-    MAX_SPLITTING_COEFFICIENTS and NotPure when the cohomology is not pure.
-    """
-    uea = uea or UEA(alg)
-    _check_splitting_size(alg)
-    coh = betti_and_weights(alg, inner)
-    if coh.p is None:
-        raise NotPure(f"cohomology weights {coh.weights} are not pure")
-    d_ops = invariant_de_rham(alg, uea)
-    deltas = kostant_delta(alg, inner, uea)
-    projections = [orthogonal_projection(h, inner.lambda_gram(q))
-                   for q, h in enumerate(coh.harmonic)]
-    pis = [UEAOperatorMatrix.from_scalar(uea, pi) for pi in projections]
-    L = [_splitting_series(alg, uea, q, coh.harmonic[q], projections[q], d_ops, deltas)
-         for q in range(alg.dim + 1)]
-    return L, coh, d_ops, deltas, pis
 
 
 def _monomial_counts(weights, top):
@@ -180,10 +148,8 @@ def _splitting_series(alg, uea, q, h, pi, d_ops, deltas):
     term = UEAOperatorMatrix.from_scalar(uea, h)
     if q == alg.dim:
         return term
-    d0 = d_ops[q].order_zero_part()
-    d0_prev = d_ops[q - 1].order_zero_part() if q else []
-    delta = deltas[q + 1].order_zero_part()
-    delta_q = deltas[q].order_zero_part() if q else []
+    d0, d0_prev = ce_differential(alg, q), ce_differential(alg, q - 1)
+    delta, delta_q = deltas[q + 1], deltas.get(q)
     below, here, above = (_weight_blocks(alg, q + s) for s in (-1, 0, 1))
     # -G delta per weight block, as (row, entry) pairs of each column J
     neg_g_delta = {}
@@ -224,14 +190,24 @@ def _splitting_series(alg, uea, q, h, pi, d_ops, deltas):
 
 
 def rumin_D(alg, inner):
-    """The Rumin complex D = pi d L for all degrees.
+    """The splitting L and the Rumin complex D = pi d L for all degrees.
 
-    D_q = pi_{q+1} d_q L_q, with the projections solve_splitting_L formed
-    from the harmonic bases of ``betti_and_weights``; the matrices act
-    between the cohomology spaces in the harmonic basis of ``inner``.
+    D_q = pi_{q+1} d_q L_q, with the projections formed from the harmonic
+    bases of ``betti_and_weights``; the matrices act between the cohomology
+    spaces in the harmonic basis of ``inner``.  Raises OutOfRange when L may
+    exceed MAX_SPLITTING_COEFFICIENTS and NotPure when the cohomology is not
+    pure.
     """
+    _check_splitting_size(alg)
+    coh = betti_and_weights(alg, inner)
+    if coh.p is None:
+        raise NotPure(f"cohomology weights {coh.weights} are not pure")
     uea = UEA(alg)
-    L, coh, d_ops, deltas, pis = solve_splitting_L(alg, inner, uea)
+    d_ops = invariant_de_rham(alg, uea)
+    deltas = kostant_delta(alg, inner)
+    pis = [orthogonal_projection(h, inner.lambda_gram(q)) for q, h in enumerate(coh.harmonic)]
+    L = [_splitting_series(alg, uea, q, h, pis[q], d_ops, deltas)
+         for q, h in enumerate(coh.harmonic)]
     D = [pis[q + 1] @ (d_ops[q] @ L[q]) for q in range(alg.dim)]
     return RuminComplex(
         algebra=alg,
@@ -243,26 +219,20 @@ def rumin_D(alg, inner):
         orders=tuple(dq.order() for dq in D),
         d_ops=d_ops,
         deltas=deltas,
+        pis=pis,
     )
 
 
 def expressed_over(rc, ref):
     """The differentials D_q of ``rc`` in the harmonic basis of ``ref``, a
     complex of the same algebra: C_{q+1} D_q C_q^-1, where C_q takes rc's
-    coordinates in H^q = ker d / img d to ref's."""
-    alg = rc.algebra
-    c_mats = []
-    for q in range(alg.dim + 1):
-        href = ref.cohomology.harmonic[q]
-        img = column_space(ce_differential(alg, q - 1))
-        # [href | img d] has full column rank (harmonic forms are orthogonal
-        # to img d), so the coordinates c in href are unique
-        sol = solve([row + [col[i] for col in img] for i, row in enumerate(href)],
-                    rc.cohomology.harmonic[q])
-        if sol is None:
-            raise NotPure("column is not a cocycle of the expected class")
-        c_mats.append(sol[:len(href[0])])
-    return [c_mats[q + 1] @ (rc.D[q] @ inverse(c_mats[q])) for q in range(alg.dim)]
+    coordinates in H^q = ker d / img d to ref's.
+
+    rc's harmonic forms are ref's plus exact forms, and ref's are
+    ref-orthogonal to img d, so pi^ref kills the exact part: C_q = pi_q^ref h_q^rc.
+    """
+    c_mats = [mat_mul(pi, h) for pi, h in zip(ref.pis, rc.cohomology.harmonic)]
+    return [c_mats[q + 1] @ (rc.D[q] @ inverse(c_mats[q])) for q in range(rc.algebra.dim)]
 
 
 def gr_equals_ce(alg, d_ops):
@@ -273,20 +243,19 @@ def gr_equals_ce(alg, d_ops):
     return True
 
 
-def star_on_cohomology(alg, inner, rc, q, orientation=1):
+def star_on_cohomology(rc, q, orientation=1):
     """Rational part of the star restricted to harmonic subspaces,
     as a b_{m-q} x b_q matrix between harmonic-basis coordinates."""
-    m = alg.dim
-    st = star(alg, inner, q, orientation)
+    st = star(rc.algebra, rc.inner, q, orientation)
     image = mat_mul(st.matrix, rc.cohomology.harmonic[q])
-    target = rc.cohomology.harmonic[m - q]
+    target = rc.cohomology.harmonic[rc.algebra.dim - q]
     coords = solve(target, image)
     if coords is None:
         raise NotPure(f"star image of harmonic {q}-forms is not harmonic")
     return coords
 
 
-def harmonic_gram(alg, inner, harm, q):
+def harmonic_gram(inner, harm, q):
     return mat_mul(mat_mul(transpose(harm), inner.lambda_gram(q)), harm)
 
 
@@ -300,8 +269,8 @@ def star_duality_check(rc, orientation=1):
     """
     alg, inner = rc.algebra, rc.inner
     m = alg.dim
-    grams = [harmonic_gram(alg, inner, h, q) for q, h in enumerate(rc.cohomology.harmonic)]
-    stars = [star_on_cohomology(alg, inner, rc, q, orientation) for q in range(m + 1)]
+    grams = [harmonic_gram(inner, h, q) for q, h in enumerate(rc.cohomology.harmonic)]
+    stars = [star_on_cohomology(rc, q, orientation) for q in range(m + 1)]
     report = {"degrees": {}, "orders_palindromic": None, "all_hold": True}
     k = rc.k
     report["orders_palindromic"] = all(k[q] == k[m - q - 1] for q in range(m))

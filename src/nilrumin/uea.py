@@ -195,12 +195,6 @@ class UEAElement:
             return None
         return max(self.uea.monomial_order(e) for e in self.coeffs)
 
-    def order_part(self, k):
-        """Component of Heisenberg order exactly k."""
-        return UEAElement(self.uea, {
-            e: c for e, c in self.coeffs.items() if self.uea.monomial_order(e) == k
-        })
-
     def constant_term(self):
         return self.coeffs.get((0,) * self.uea.m, Fraction(0))
 

@@ -30,7 +30,9 @@ Claims:
       float range, a Gram entry below it, eigenvalues beyond it), or whose
       harmonic Gram determinant lies outside the float range, is
       NotFloatRepresentable, exit 1, naming the degree; so is a torsion norm
-      that under- or overflows a float
+      that under- or overflows a float; the eigenvalues in (0, lambda] enter
+      as one sum of logs, so --check-invariance on D_0 = 10^14 I, D_1 = 0,
+      D_2 = 10^-14 I in R^24 passes with total 1.0
     - nilgroup subcommands produce the documented lattice coordinates
     - validation errors exit 1 with the error name; parse errors exit 2;
       sieve --jobs below 1, char-orbit --words outside 1..10^6 and a
@@ -429,6 +431,26 @@ class TestTorsion:
         code, out = invoke("torsion", "--input", str(path))
         assert code == 1
         assert "NotFloatRepresentable" in out and "torsion norm" in out
+
+    def test_small_spectrum_summed_in_logs(self, tmp_path):
+        # D_0 = 10^14 I, D_1 = 0, D_2 = 10^-14 I on R^24: the norm is 1, and
+        # at the checks' upper cutoff a running product of the powers of the
+        # eigenvalues in (0, lambda] underflows before it comes back to 1
+        n = 24
+
+        def diagonal(x):
+            return [[x if i == j else "0" for j in range(n)] for i in range(n)]
+
+        doc = {"dims": [n] * 4, "differentials": [
+            diagonal(str(10 ** 14)), diagonal("0"), diagonal(f"1/{10 ** 14}")]}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out = invoke("torsion", "--input", str(path),
+                           "--check-invariance", "--format", "json")
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert all(res["checks"].values())
+        assert res["total"] == "1.0"
 
     @pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "-1"])
     def test_cutoff_must_be_finite_nonnegative(self, tmp_path, cutoff):

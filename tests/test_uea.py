@@ -105,12 +105,6 @@ class TestOrders:
         # order 2 over weights (1,1,2,3,3): X1^2, X1X2, X2^2, X3
         assert len(u235.monomials_of_order(2)) == 4
 
-    def test_order_part(self, u235):
-        x1, x3 = u235.generator(0), u235.generator(2)
-        e = x1 + x3
-        assert e.order_part(1) == x1
-        assert e.order_part(2) == x3
-
 
 class TestAdjoint:
     def test_generator_sign(self, u235):
