@@ -323,10 +323,6 @@ class StarOperator:
     det_scale: Fraction
     orientation: int
 
-    def compose_with(self, other):
-        """Rational matrix of self ∘ other (the sqrt factors multiply to det_scale)."""
-        return [[x * self.det_scale for x in row] for row in mat_mul(self.matrix, other.matrix)]
-
 
 def star(alg, inner, q, orientation=1):
     """Star operator characterized by alpha ∧ (star beta) = <alpha, beta> mu."""
@@ -348,11 +344,6 @@ def star(alg, inner, q, orientation=1):
     if d == 0:
         raise DegenerateMetric("metric volume vanishes")
     return StarOperator(q=q, m=m, matrix=rows, det_scale=d, orientation=orientation)
-
-
-def star_adjoint_rational(alg, inner, st):
-    """Rational part of the adjoint star: adjoint(star) = sqrt(det) * result."""
-    return adjoint(st.matrix, inner.lambda_gram(st.q), inner.lambda_gram(st.m - st.q))
 
 
 def duality_pairing(alg, q, inner=None):

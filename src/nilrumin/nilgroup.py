@@ -95,11 +95,6 @@ def commutator(x, y):
     ))
 
 
-def commutator_word(x, y):
-    """[x, y] as the group word; exact cross-check for the closed form."""
-    return multiply_all(x, y, x.inverse(), y.inverse())
-
-
 def power_word(k, l):
     """log(gamma_1^k gamma_2^l) = (k, l, kl/2, k^2 l/12, -k l^2/12)."""
     k, l = frac(k), frac(l)

@@ -48,21 +48,27 @@ from .uea import UEA, UEAOperatorMatrix, formal_adjoint
 MAX_SPLITTING_COEFFICIENTS = 5 * 10**5
 
 
-def invariant_de_rham(alg, uea=None):
+def ce_differentials(alg):
+    """The CE differentials ce[q] = ce_differential(alg, q), q = -1..m-1."""
+    return {q: ce_differential(alg, q) for q in range(-1, alg.dim)}
+
+
+def invariant_de_rham(alg, uea=None, ce=None):
     """Matrices of the invariant de Rham differential d_q, q = 0..m-1.
 
     d = sum_i eps(theta^i) X_i + CE-part; deleting all monomials of positive
-    Heisenberg order recovers the CE differential.
+    Heisenberg order recovers the CE differential.  ``ce`` is
+    ``ce_differentials(alg)``, formed here when not given.
     """
     uea = uea or UEA(alg)
+    ce = ce or ce_differentials(alg)
     m = alg.dim
     out = []
     for q in range(m):
         src = exterior_basis(m, q)
         dst = exterior_basis(m, q + 1)
         dst_index = {idx: pos for pos, idx in enumerate(dst)}
-        ce = ce_differential(alg, q)
-        entries = [[uea.scalar(ce[r][c]) for c in range(len(src))] for r in range(len(dst))]
+        entries = [[uea.scalar(ce[q][r][c]) for c in range(len(src))] for r in range(len(dst))]
         for c, I in enumerate(src):
             for i in range(m):
                 s, J = insert_sign(I, i)
@@ -73,15 +79,16 @@ def invariant_de_rham(alg, uea=None):
     return out
 
 
-def kostant_delta(alg, inner):
+def kostant_delta(alg, inner, ce=None):
     """Order-0 codifferentials delta_q: Lambda^q -> Lambda^(q-1), q = 1..m,
     as rational matrices.
 
     In the flat model with the identity splitting, delta is the CE adjoint
-    with respect to the induced inner products; delta^2 = 0.
+    with respect to the induced inner products; delta^2 = 0.  ``ce`` is
+    ``ce_differentials(alg)``, formed here when not given.
     """
-    return {q: adjoint(ce_differential(alg, q - 1), inner.lambda_gram(q - 1),
-                       inner.lambda_gram(q))
+    ce = ce or ce_differentials(alg)
+    return {q: adjoint(ce[q - 1], inner.lambda_gram(q - 1), inner.lambda_gram(q))
             for q in range(1, alg.dim + 1)}
 
 
@@ -136,7 +143,7 @@ def _check_splitting_size(alg):
                              f"above MAX_SPLITTING_COEFFICIENTS = {MAX_SPLITTING_COEFFICIENTS}")
 
 
-def _splitting_series(alg, uea, q, h, pi, d_ops, deltas):
+def _splitting_series(alg, uea, q, h, pi, ce, d_ops, deltas):
     """L_q = sum_k M^k h with M = -G delta_{q+1} N_q, summed to the first zero term.
 
     N_q is the positive-order part of d_q, and G the Green operator of the
@@ -148,7 +155,7 @@ def _splitting_series(alg, uea, q, h, pi, d_ops, deltas):
     term = UEAOperatorMatrix.from_scalar(uea, h)
     if q == alg.dim:
         return term
-    d0, d0_prev = ce_differential(alg, q), ce_differential(alg, q - 1)
+    d0, d0_prev = ce[q], ce[q - 1]
     delta, delta_q = deltas[q + 1], deltas.get(q)
     below, here, above = (_weight_blocks(alg, q + s) for s in (-1, 0, 1))
     # -G delta per weight block, as (row, entry) pairs of each column J
@@ -203,10 +210,11 @@ def rumin_D(alg, inner):
     if coh.p is None:
         raise NotPure(f"cohomology weights {coh.weights} are not pure")
     uea = UEA(alg)
-    d_ops = invariant_de_rham(alg, uea)
-    deltas = kostant_delta(alg, inner)
+    ce = ce_differentials(alg)
+    d_ops = invariant_de_rham(alg, uea, ce)
+    deltas = kostant_delta(alg, inner, ce)
     pis = [orthogonal_projection(h, inner.lambda_gram(q)) for q, h in enumerate(coh.harmonic)]
-    L = [_splitting_series(alg, uea, q, h, pis[q], d_ops, deltas)
+    L = [_splitting_series(alg, uea, q, h, pis[q], ce, d_ops, deltas)
          for q, h in enumerate(coh.harmonic)]
     D = [pis[q + 1] @ (d_ops[q] @ L[q]) for q in range(alg.dim)]
     return RuminComplex(

@@ -7,12 +7,18 @@ the basis is ordered by ascending weight, every bracket lands on strictly
 later basis vectors and the recursion terminates.  The Heisenberg order of a
 monomial is sum_i e_i * weight(i), where a degree -k direction has weight k.
 
-Every product goes through one kernel, ``UEA._mul_into``: the straightened
-product of each pair of monomials is memoised per pair, and x·y is added
-term by term into one accumulator dict.  Element products and operator
-matrix products (a rational matrix on either side is lifted by
-``from_scalar``) both use it, so entry (i, j) of A @ B is one dict that
-collects sum_t A[i][t]·B[t][j].
+Every product goes through one integer kernel, ``UEA._product``, as
+``rational.mat_mul`` does for rational matrices.  Each row of the left factor
+and each column of the right factor is cleared once to integer coefficients
+over one denominator; entry (i, j) of A @ B collects sum_t A[i][t]·B[t][j]
+in one integer dict and becomes one Fraction per nonzero coefficient, over
+d_row·d_col.  Two UEA entries meet through the memoised table of
+straightened monomial pairs.  A rational entry on either side is an integer
+that scales the other entry's dict, so a rational matrix times an operator
+matrix needs no monomial product.  Element products are 1×1 operator
+products.  The structure constants are read once per ``UEA``, integral ones
+as ints, so on every preset the pair table holds integers; a rational
+constant stays a Fraction there, and the result is exact either way.
 
 The formal adjoint convention is X_i* = -X_i (integration by parts against
 the bi-invariant Haar measure of the nilpotent group), extended as an
@@ -22,6 +28,7 @@ anti-automorphism: each monomial's reversed word is straightened once.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlgebraMismatch
 from .rational import frac
@@ -34,6 +41,12 @@ class UEA:
         self.algebra = alg
         self.m = alg.dim
         self.weights = alg.weights
+        # [X_b, X_a] for b > a, integral constants as ints
+        self._brackets = {
+            (b, a): {k: c.numerator if c.denominator == 1 else c
+                     for k, c in alg.bracket(b, a).items()}
+            for b in range(self.m) for a in range(b)
+        }
         self._gen_cache = {}
         self._pair_cache = {}
 
@@ -77,7 +90,8 @@ class UEA:
         The rewrite X_b X_a -> X_a X_b + [X_b, X_a] (b > a) either removes an
         adjacent inversion or shortens the word, so the recursion terminates;
         brackets only hit heavier basis vectors by the degree-ordering of the
-        basis.  Returns {exponent tuple: coefficient}.
+        basis.  Returns {exponent tuple: coefficient}, the coefficients
+        integers when the structure constants are.
         """
         cached = self._gen_cache.get(word)
         if cached is not None:
@@ -87,14 +101,14 @@ class UEA:
             exps = [0] * self.m
             for i in word:
                 exps[i] += 1
-            result = {tuple(exps): Fraction(1)}
+            result = {tuple(exps): 1}
         else:
             b, a = word[inv], word[inv + 1]
             left, right = word[:inv], word[inv + 2:]
             result = {}
             for exps, c in self._straighten(left + (a, b) + right).items():
                 _acc(result, exps, c)
-            for k, ck in self.algebra.bracket(b, a).items():
+            for k, ck in self._brackets[b, a].items():
                 for exps, c in self._straighten(left + (k,) + right).items():
                     _acc(result, exps, c * ck)
         self._gen_cache[word] = result
@@ -112,14 +126,65 @@ class UEA:
             self._pair_cache[a, b] = out
         return out
 
-    def _mul_into(self, out, x, y):
-        """Add x·y into ``out``; x, y are {exponents: coefficient}. Zeros may remain."""
-        mono_mul = self._mono_mul
-        for ea, ca in x.items():
-            for eb, cb in y.items():
-                c = ca * cb
-                for e, cm in mono_mul(ea, eb):
-                    out[e] = out.get(e, 0) + c * cm
+    def _product(self, left, right):
+        """Rows of UEAElements: the product of cleared rows ``left`` by cleared
+        columns ``right`` (see ``_cleared``).
+
+        A UEA entry is an integer dict, a rational one an int that scales the
+        dict it meets.  The sum over t stays in integers; each nonzero
+        coefficient becomes one Fraction over d_row·d_col, so a zero product
+        builds no Fraction at all.
+        """
+        pairs, mono_mul, zero = self._pair_cache, self._mono_mul, self.zero()
+        rows = []
+        for xs, dx in left:
+            row = []
+            for ys, dy in right:
+                acc = {}
+                for t, x in xs.items():
+                    y = ys.get(t)
+                    if y is None:
+                        continue
+                    if type(x) is int:
+                        for e, c in y.items():
+                            acc[e] = acc.get(e, 0) + x * c
+                    elif type(y) is int:
+                        for e, c in x.items():
+                            acc[e] = acc.get(e, 0) + c * y
+                    else:
+                        for ea, ca in x.items():
+                            for eb, cb in y.items():
+                                c = ca * cb
+                                mono = pairs.get((ea, eb))
+                                for e, cm in mono_mul(ea, eb) if mono is None else mono:
+                                    acc[e] = acc.get(e, 0) + c * cm
+                den = dx * dy
+                out = {e: Fraction(v, den) for e, v in acc.items() if v}
+                row.append(UEAElement(self, out) if out else zero)
+            rows.append(row)
+        return rows
+
+
+def _cleared(vectors):
+    """Each vector of entries as ({t: ints}, d), entry t being ints / d.
+
+    d > 0 is the lcm of every denominator in the vector.  A UEAElement's ints
+    is an {exponents: int} dict, a rational entry's an int (``frac`` refuses
+    a float).  Zero entries are left out.
+    """
+    out = []
+    for v in vectors:
+        nz = {}
+        for t, x in enumerate(v):
+            x = x.coeffs if isinstance(x, UEAElement) else frac(x)
+            if x:
+                nz[t] = x
+        d = lcm(*(c.denominator for x in nz.values()
+                  for c in (x.values() if isinstance(x, dict) else (x,))))
+        out.append(({t: {e: c.numerator * (d // c.denominator) for e, c in x.items()}
+                     if isinstance(x, dict) else x.numerator * (d // x.denominator)
+                     for t, x in nz.items()}, d))
+    return out
 
 
 def _acc(d, key, val):
@@ -174,9 +239,7 @@ class UEAElement:
         if not isinstance(other, UEAElement):
             return self.scale(other)
         self._check(other)
-        out = {}
-        self.uea._mul_into(out, self.coeffs, other.coeffs)
-        return UEAElement(self.uea, out)
+        return self.uea._product(_cleared([[self]]), _cleared([[other]]))[0][0]
 
     def __eq__(self, other):
         return (isinstance(other, UEAElement)
@@ -190,7 +253,7 @@ class UEAElement:
         return not self.coeffs
 
     def order(self):
-        """Heisenberg order: max weighted degree of the support; -inf for 0."""
+        """Heisenberg order: max weighted degree of the support; None for 0."""
         if not self.coeffs:
             return None
         return max(self.uea.monomial_order(e) for e in self.coeffs)
@@ -247,35 +310,34 @@ class UEAOperatorMatrix:
         return max(orders) if orders else 0
 
     def __matmul__(self, other):
-        """Operator product; a rational matrix on the right is lifted first."""
-        if not isinstance(other, UEAOperatorMatrix):
-            other = UEAOperatorMatrix.from_scalar(self.uea, other)
-        if self.cols != other.rows:
-            raise AlgebraMismatch(
-                f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        if not same_algebra(self.uea.algebra, other.uea.algebra):
-            raise AlgebraMismatch("operands live over different algebras")
-        uea = self.uea
-        right = [[e.coeffs for e in row] for row in other.entries]
-        entries = []
-        for row in self.entries:
-            left = [(e.coeffs, right[t]) for t, e in enumerate(row) if e.coeffs]
-            out_row = []
-            for j in range(other.cols):
-                out = {}
-                for x, y in left:
-                    if y[j]:
-                        uea._mul_into(out, x, y[j])
-                out_row.append(UEAElement(uea, out))
-            entries.append(out_row)
-        return UEAOperatorMatrix(uea, entries, other.cols)
+        """Operator product; ``other`` is an operator or a rational matrix."""
+        if isinstance(other, UEAOperatorMatrix):
+            if not same_algebra(self.uea.algebra, other.uea.algebra):
+                raise AlgebraMismatch("operands live over different algebras")
+            rows, cols, entries = other.rows, other.cols, other.entries
+        else:
+            # a 0-row rational matrix carries no column count: it has 0 columns
+            rows, cols, entries = len(other), len(other[0]) if other else 0, other
+        if self.cols != rows or any(len(row) != cols for row in entries):
+            raise AlgebraMismatch(f"shape mismatch: {self.rows}x{self.cols} @ {rows}x{cols}")
+        return self._times(_cleared(self.entries), entries, cols)
 
     def __rmatmul__(self, scalar_matrix):
-        return UEAOperatorMatrix.from_scalar(self.uea, scalar_matrix, self.rows) @ self
+        """A rational matrix on the left times this operator."""
+        inner = len(scalar_matrix[0]) if scalar_matrix else self.rows
+        if inner != self.rows or any(len(row) != inner for row in scalar_matrix):
+            raise AlgebraMismatch(f"shape mismatch: {len(scalar_matrix)}x{inner} @ "
+                                  f"{self.rows}x{self.cols}")
+        return self._times(_cleared(scalar_matrix), self.entries, self.cols)
+
+    def _times(self, left, entries, cols):
+        """Cleared rows ``left`` times the ``cols`` columns of ``entries``."""
+        right = _cleared([row[j] for row in entries] for j in range(cols))
+        return UEAOperatorMatrix(self.uea, self.uea._product(left, right), cols)
 
     def scale(self, c):
-        return UEAOperatorMatrix(self.uea, [[e.scale(c) for e in row] for row in self.entries])
+        return UEAOperatorMatrix(self.uea, [[e.scale(c) for e in row] for row in self.entries],
+                                 self.cols)
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)

@@ -14,9 +14,12 @@ Claims:
     - an oversized --shape, --family --n-max, --vector or --shape --emit-p is
       OutOfRange at once
     - rumin --check exits 0 with every symbolic identity passing, and on
-      235 forms each metric's Hodge data, d and delta once (6 metrics)
+      235 forms each metric's Hodge data, d and delta once (6 metrics), and
+      rumin_flat forms at most m + 2 CE differentials per metric
     - rumin reports on 235, heisenberg5, heisenberg7 and heisenberg9 are
-      byte-identical to tests/golden/, with orders = k; rumin on heisenberg11
+      byte-identical to tests/golden/, with orders = k, and so are the
+      reports with non-integer coefficients in D (--check on 235 and
+      heisenberg5 at seed 97, heisenberg5 with a Gram file); rumin on heisenberg11
       is OutOfRange (MAX_SPLITTING_COEFFICIENTS) in under a second
     - torsion reads a complex file and honors --lambda/--N/--a
     - torsion --check-invariance reports on three complexes are byte-identical
@@ -262,6 +265,17 @@ class TestRumin:
                                            (rumin_flat, "invariant_de_rham"),
                                            (rumin_flat, "kostant_delta"),
                                            (rumin_flat, "rumin_D")))
+        # the CE differentials rumin_flat forms itself: at most m + 2 per
+        # rumin_D, plus m for the gr_d_equals_ce check (betti_and_weights
+        # forms its own, through the ce_cohomology binding)
+        ce_calls = []
+        ce_differential = rumin_flat.ce_differential
+
+        def counted(alg, q):
+            ce_calls.append(q)
+            return ce_differential(alg, q)
+
+        monkeypatch.setattr(rumin_flat, "ce_differential", counted)
         code, _ = invoke("rumin", "--preset", "235", "--check")
         assert code == 0
         assert counts["betti_and_weights"] == 6
@@ -269,6 +283,7 @@ class TestRumin:
         assert counts["invariant_de_rham"] == 6
         assert counts["orthogonal_projection"] <= 36
         assert counts["rumin_D"] == 6
+        assert len(ce_calls) <= 6 * (5 + 2) + 5
 
     def test_orders_in_report(self):
         code, out = invoke("rumin", "--preset", "235", "--format", "json")
@@ -283,6 +298,20 @@ class TestRumin:
         assert out == (GOLDEN / f"rumin_{preset}.json").read_text()
         res = json.loads(out)["results"]
         assert res["orders"] == res["k"]
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("--preset", "235", "--check", "--seed", "97"), "rumin_235.check.json"),
+        (("--preset", "heisenberg5", "--check", "--seed", "97"),
+         "rumin_heisenberg5.check.json"),
+        (("--preset", "heisenberg5", "--metric",
+          str(GOLDEN / "cohomology_heisenberg5.gram.json")), "rumin_heisenberg5.metric.json"),
+    ])
+    def test_rational_coefficients_match_golden(self, argv, golden):
+        # reports whose D has non-integer coefficients: the checks at seed 97
+        # and a graded Gram file
+        code, out = invoke("rumin", *argv, "--format", "json")
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_oversized_system_fails_fast(self):
         # heisenberg11 is inside MAX_DIMENSION, but its splitting operator is
