@@ -219,6 +219,7 @@ class WeightedCohomology:
     betti: tuple
     weights: tuple          # per q: sorted tuple of weights with multiplicity
     harmonic: list          # per q: matrix whose columns span ker d_q ∩ ker d*_{q-1}
+    ce: list                # per q = 0..m: the CE differential d_q the cohomology was read from
     pure: bool
     p: tuple | None         # weight p_q per degree when pure
     k: tuple | None         # Heisenberg orders k_q = p_{q+1} - p_q when pure
@@ -245,13 +246,13 @@ def betti_and_weights(alg, inner=None):
         inner = identity_metric(alg)
     m = alg.dim
     blocks = [_weight_blocks(alg, q) for q in range(-1, m + 2)]  # blocks[q + 1]: Lambda^q
-    weights, harmonic, d_prev = [], [], None
+    weights, harmonic, ce = [], [], []
     for q in range(m + 1):
         d_q, gram, n = ce_differential(alg, q), inner.lambda_gram(q), len(exterior_basis(m, q))
         ws, cols = [], []
         for w, idx in blocks[q + 1].items():
             h = harmonic_basis(_block(d_q, blocks[q + 2].get(w, []), idx),
-                               _block(d_prev, idx, blocks[q].get(w, [])),
+                               _block(ce[-1] if ce else None, idx, blocks[q].get(w, [])),
                                _block(gram, idx, idx), len(idx))
             for col in transpose(h):
                 where = dict(zip(idx, col))
@@ -259,7 +260,7 @@ def betti_and_weights(alg, inner=None):
                 ws.append(w)
         weights.append(tuple(ws))
         harmonic.append(columns_to_matrix(cols, n))
-        d_prev = d_q
+        ce.append(d_q)
     pure = all(len(set(ws)) <= 1 for ws in weights)
     p = tuple(ws[0] for ws in weights) if pure and all(weights) else None
     k = tuple(p[q + 1] - p[q] for q in range(m)) if p is not None else None
@@ -268,6 +269,7 @@ def betti_and_weights(alg, inner=None):
         betti=tuple(len(ws) for ws in weights),
         weights=tuple(weights),
         harmonic=harmonic,
+        ce=ce,
         pure=pure,
         p=p,
         k=k,

@@ -283,7 +283,8 @@ def _monomial_str(exps):
 
 
 def _rumin_checks(rc, seed):
-    alg, d_ops, deltas = rc.algebra, rc.d_ops, rc.deltas
+    alg, d_ops = rc.algebra, rc.d_ops
+    deltas = rumin_flat.kostant_delta(alg, rc.inner)
     checks = {}
     checks["d_squared_zero"] = all(
         (d_ops[q + 1] @ d_ops[q]).is_zero() for q in range(alg.dim - 1)

@@ -14,8 +14,9 @@ run their own Bareiss passes; ``charpoly`` runs Faddeev–LeVerrier on the
 integer matrix s·a and rescales its coefficients by powers of s.  Nothing in
 this module touches floating point.
 
-The exact Hodge theory of a complex with Gram matrices (adjoint, harmonic
-basis, orthogonal projection) is here too, shared by every caller.
+The exact Hodge theory of a complex with Gram matrices (adjoint,
+pseudo-inverse, harmonic basis, orthogonal projection) is here too, shared by
+every caller.
 """
 
 from __future__ import annotations
@@ -237,6 +238,16 @@ def adjoint(a, gram_src, gram_dst):
     if not a or not a[0]:
         return []
     return solve(gram_src, mat_mul(transpose(a), gram_dst))
+
+
+def pseudo_inverse(a, gram_src, gram_dst):
+    """Moore–Penrose inverse a⁺ of a: (src, gram_src) -> (dst, gram_dst).  a⁺y
+    is the x G_src-orthogonal to ker a with a·x the G_dst-projection of y onto
+    img a: one solve of aT G_dst a x = aT G_dst y, K G_src x = 0 (K's rows span ker a)."""
+    at_g = mat_mul(transpose(a), gram_dst)
+    kernel = nullspace(a)
+    return solve(mat_mul(at_g, a) + mat_mul(kernel, gram_src),
+                 at_g + zeros(len(kernel), len(a)))
 
 
 def harmonic_basis(d_q, d_prev, gram_q, n):

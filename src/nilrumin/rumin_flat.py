@@ -10,26 +10,29 @@ conditions
 
 with delta the order-0 Kostant codifferential (the CE adjoint) and pi the
 orthogonal projection onto the harmonic subspace.  The harmonic bases h are
-the ones ``betti_and_weights`` chooses for the metric.  delta_q and pi_q are
-order 0, so they stay rational matrices on Lambda^q g*, formed once per
-degree; pi meets the UEA only in the product that forms D.  ``rumin_D`` sums
+the ones ``betti_and_weights`` chooses for the metric; pi is a rational
+matrix that meets the UEA only in the product that forms D.  ``rumin_D`` sums
 L as the terminating Neumann series L_q = sum_k (-G delta N)^k h_q of the BGG
-construction (Cap-Slovak-Soucek; Calderbank-Diemer), with G the Green
-operator of the Kostant Laplacian delta d_0 + d_0 delta, formed per weight
-block.  Each factor raises the form weight by at least 1, so the series ends,
-and the sum meets the three conditions, whose solution is unique.  The size
-of L is bounded before the cohomology is formed
+construction (Cap-Slovak-Soucek; Calderbank-Diemer).  G delta, for G the
+Green operator of the Kostant Laplacian, is d_0^+, the pseudo-inverse of d_0
+for the Lambda^q Grams, formed per weight block: delta is never formed, and
+``kostant_delta`` is a check only.  Each factor raises the form weight by at
+least 1, so the series ends, and the sum meets the three conditions, whose
+solution is unique.  L is bounded before the cohomology is formed
 (``MAX_SPLITTING_COEFFICIENTS``).  The Rumin differential is D = pi d L;
-purity of the cohomology makes its Heisenberg order equal to p_{q+1} - p_q.
-``expressed_over`` rewrites D in another metric's harmonic basis, where
-metric independence is equality; the change of basis is C = pi^ref h^rc.
+purity makes its Heisenberg order p_{q+1} - p_q.  ``expressed_over`` rewrites
+D in another metric's harmonic basis, where metric independence is equality;
+the change of basis is C = pi^ref h^rc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .ce_cohomology import (
+    _basis_index,
+    _block,
     _weight_blocks,
     betti_and_weights,
     ce_differential,
@@ -39,7 +42,8 @@ from .ce_cohomology import (
     weight_of,
 )
 from .errors import NotPure, OutOfRange
-from .rational import adjoint, inverse, mat_mul, orthogonal_projection, solve, transpose
+from .rational import (adjoint, inverse, mat_mul, orthogonal_projection, pseudo_inverse,
+                       solve, transpose)
 from .uea import UEA, UEAOperatorMatrix, formal_adjoint
 
 # Largest splitting operator accepted, as the bound of ``_check_splitting_size``
@@ -48,47 +52,39 @@ from .uea import UEA, UEAOperatorMatrix, formal_adjoint
 MAX_SPLITTING_COEFFICIENTS = 5 * 10**5
 
 
-def ce_differentials(alg):
-    """The CE differentials ce[q] = ce_differential(alg, q), q = -1..m-1."""
-    return {q: ce_differential(alg, q) for q in range(-1, alg.dim)}
-
-
-def invariant_de_rham(alg, uea=None, ce=None):
+def invariant_de_rham(alg, uea=None):
     """Matrices of the invariant de Rham differential d_q, q = 0..m-1.
 
     d = sum_i eps(theta^i) X_i + CE-part; deleting all monomials of positive
-    Heisenberg order recovers the CE differential.  ``ce`` is
-    ``ce_differentials(alg)``, formed here when not given.
+    Heisenberg order recovers the CE differential.  Entry (J, I) is one dict:
+    its CE constant and the +-X_i with J = I + {i}, if there is one.
     """
     uea = uea or UEA(alg)
-    ce = ce or ce_differentials(alg)
     m = alg.dim
+    zero = (0,) * m
+    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
     out = []
     for q in range(m):
-        src = exterior_basis(m, q)
-        dst = exterior_basis(m, q + 1)
-        dst_index = {idx: pos for pos, idx in enumerate(dst)}
-        entries = [[uea.scalar(ce[q][r][c]) for c in range(len(src))] for r in range(len(dst))]
-        for c, I in enumerate(src):
+        dst_index = _basis_index(m, q + 1)
+        coeffs = [[{zero: x} for x in row] for row in ce_differential(alg, q)]
+        for c, I in enumerate(exterior_basis(m, q)):
             for i in range(m):
                 s, J = insert_sign(I, i)
-                if s == 0:
-                    continue
-                entries[dst_index[J]][c] = entries[dst_index[J]][c] + uea.generator(i).scale(s)
-        out.append(UEAOperatorMatrix(uea, entries))
+                if s:
+                    coeffs[dst_index[J]][c][units[i]] = Fraction(s)
+        out.append(UEAOperatorMatrix(uea, [[uea.element(e) for e in row] for row in coeffs]))
     return out
 
 
-def kostant_delta(alg, inner, ce=None):
+def kostant_delta(alg, inner):
     """Order-0 codifferentials delta_q: Lambda^q -> Lambda^(q-1), q = 1..m,
     as rational matrices.
 
     In the flat model with the identity splitting, delta is the CE adjoint
-    with respect to the induced inner products; delta^2 = 0.  ``ce`` is
-    ``ce_differentials(alg)``, formed here when not given.
+    with respect to the induced inner products; delta^2 = 0.  ``rumin_D``
+    does not use it: it is the reference the splitting is checked against.
     """
-    ce = ce or ce_differentials(alg)
-    return {q: adjoint(ce[q - 1], inner.lambda_gram(q - 1), inner.lambda_gram(q))
+    return {q: adjoint(ce_differential(alg, q - 1), inner.lambda_gram(q - 1), inner.lambda_gram(q))
             for q in range(1, alg.dim + 1)}
 
 
@@ -104,7 +100,6 @@ class RuminComplex:
     D: list            # per q in 0..m-1: UEA matrix, b_{q+1} x b_q
     orders: tuple      # attained Heisenberg order of each D_q
     d_ops: list        # invariant de Rham d_q the splitting was summed with
-    deltas: dict       # rational Kostant delta_q of the metric, q = 1..m
     pis: list          # rational harmonic projection pi_q, b_q x Lambda^q
 
     @property
@@ -143,34 +138,27 @@ def _check_splitting_size(alg):
                              f"above MAX_SPLITTING_COEFFICIENTS = {MAX_SPLITTING_COEFFICIENTS}")
 
 
-def _splitting_series(alg, uea, q, h, pi, ce, d_ops, deltas):
+def _splitting_series(alg, uea, inner, q, h, d0, d_ops):
     """L_q = sum_k M^k h with M = -G delta_{q+1} N_q, summed to the first zero term.
 
-    N_q is the positive-order part of d_q, and G the Green operator of the
-    Kostant Laplacian box = delta d_0 + d_0 delta: (box + P)^-1 - P with
-    P = h pi.  Since P delta = 0, G delta = (box + P)^-1 delta.  box, P and
-    delta keep the form weight, so G delta is solved per weight block; N, and
-    so M, raises it by at least 1, which ends the series.
+    N_q is the positive-order part of d_q.  G delta, for G the Green operator
+    of the Kostant Laplacian, is d0^+, the pseudo-inverse of d0 for the Lambda
+    Grams.  d0 and the Grams keep the form weight, so d0^+ is formed per weight
+    block; N, and so M, raises it by at least 1, which ends the series.
     """
     term = UEAOperatorMatrix.from_scalar(uea, h)
     if q == alg.dim:
         return term
-    d0, d0_prev = ce[q], ce[q - 1]
-    delta, delta_q = deltas[q + 1], deltas.get(q)
-    below, here, above = (_weight_blocks(alg, q + s) for s in (-1, 0, 1))
+    gram, gram_above = inner.lambda_gram(q), inner.lambda_gram(q + 1)
+    above = _weight_blocks(alg, q + 1)
     # -G delta per weight block, as (row, entry) pairs of each column J
     neg_g_delta = {}
-    for w, rows in here.items():
-        cols, lower = above.get(w), below.get(w, [])
+    for w, rows in _weight_blocks(alg, q).items():
+        cols = above.get(w)
         if not cols:
             continue
-        # box + P = [delta | d0_prev | h] [d0 ; delta_q ; pi] on the block
-        left = [[delta[r][c] for c in cols] + [d0_prev[r][c] for c in lower] + h[r]
-                for r in rows]
-        right = ([[d0[c][r] for r in rows] for c in cols]
-                 + [[delta_q[c][r] for r in rows] for c in lower]
-                 + [[row[r] for r in rows] for row in pi])
-        block = solve(mat_mul(left, right), [[delta[r][c] for c in cols] for r in rows])
+        block = pseudo_inverse(_block(d0, cols, rows), _block(gram, rows, rows),
+                               _block(gram_above, cols, cols))
         for j, J in enumerate(cols):
             neg_g_delta[J] = [(r, -row[j]) for r, row in zip(rows, block) if row[j]]
     # M = -G delta N from the generator terms of d_q; the terms through
@@ -210,11 +198,9 @@ def rumin_D(alg, inner):
     if coh.p is None:
         raise NotPure(f"cohomology weights {coh.weights} are not pure")
     uea = UEA(alg)
-    ce = ce_differentials(alg)
-    d_ops = invariant_de_rham(alg, uea, ce)
-    deltas = kostant_delta(alg, inner, ce)
+    d_ops = invariant_de_rham(alg, uea)
     pis = [orthogonal_projection(h, inner.lambda_gram(q)) for q, h in enumerate(coh.harmonic)]
-    L = [_splitting_series(alg, uea, q, h, pis[q], ce, d_ops, deltas)
+    L = [_splitting_series(alg, uea, inner, q, h, coh.ce[q], d_ops)
          for q, h in enumerate(coh.harmonic)]
     D = [pis[q + 1] @ (d_ops[q] @ L[q]) for q in range(alg.dim)]
     return RuminComplex(
@@ -226,7 +212,6 @@ def rumin_D(alg, inner):
         D=D,
         orders=tuple(dq.order() for dq in D),
         d_ops=d_ops,
-        deltas=deltas,
         pis=pis,
     )
 

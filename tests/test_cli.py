@@ -256,18 +256,21 @@ class TestRumin:
 
     def test_check_forms_hodge_data_once_per_metric(self, monkeypatch):
         # 6 rumin_D calls on 235 (m = 5), one per metric: each forms its
-        # metric's Hodge data, d and delta once, and the checks reuse the
-        # complex they check
+        # metric's Hodge data and d once, and the checks reuse the complex
+        # they check; rumin_D forms no delta, so the delta_squared_zero check
+        # forms the one kostant_delta, with its m adjoints
         from nilrumin import ce_cohomology, rational, rumin_flat
 
         counts = count_calls(monkeypatch, ((ce_cohomology, "betti_and_weights"),
+                                           (rational, "adjoint"),
                                            (rational, "orthogonal_projection"),
                                            (rumin_flat, "invariant_de_rham"),
                                            (rumin_flat, "kostant_delta"),
                                            (rumin_flat, "rumin_D")))
-        # the CE differentials rumin_flat forms itself: at most m + 2 per
-        # rumin_D, plus m for the gr_d_equals_ce check (betti_and_weights
-        # forms its own, through the ce_cohomology binding)
+        # the CE differentials rumin_flat forms itself: m per rumin_D in
+        # invariant_de_rham, plus m each for the gr_d_equals_ce and
+        # delta_squared_zero checks, inside a bound of m + 2 per rumin_D plus
+        # m (betti_and_weights forms its own, through the ce_cohomology binding)
         ce_calls = []
         ce_differential = rumin_flat.ce_differential
 
@@ -279,7 +282,8 @@ class TestRumin:
         code, _ = invoke("rumin", "--preset", "235", "--check")
         assert code == 0
         assert counts["betti_and_weights"] == 6
-        assert counts["kostant_delta"] == 6
+        assert counts["kostant_delta"] == 1
+        assert counts["adjoint"] <= 5
         assert counts["invariant_de_rham"] == 6
         assert counts["orthogonal_projection"] <= 36
         assert counts["rumin_D"] == 6

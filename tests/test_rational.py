@@ -19,6 +19,10 @@ Claims:
       the rref with every pivot equal to d; empty shapes behave as before
     - adjoint equals G_src^-1 a^T G_dst without forming the inverse, empty
       shapes included
+    - pseudo_inverse meets the four Penrose conditions weighted by the Grams
+      (a a+ a = a, a+ a a+ = a+, G_dst a a+ and G_src a+ a symmetric) on
+      sparse, rank-deficient, zero, full-row-rank and full-column-rank integer
+      matrices with Grams B^T B + I, and equals sympy's pinv at identity Grams
     - the Hodge helpers need no Gram inverse: harmonic_basis equals the kernel
       of [d_q; d*_{q-1}], and d^T G d = G (d* d), on CE complexes of 235 and
       heisenberg5 with random graded metrics and on random finite complexes
@@ -29,7 +33,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilrumin.ce_cohomology import (
@@ -51,6 +55,7 @@ from nilrumin.rational import (
     mat_mul,
     mat_vec,
     nullspace,
+    pseudo_inverse,
     rank,
     row_echelon,
     solve,
@@ -409,6 +414,56 @@ class TestAdjoint:
             gram_src, gram_dst = random_pos_def(rng, n_src), random_pos_def(rng, n_dst)
             assert adjoint(a, gram_src, gram_dst) == mat_mul(
                 inverse(gram_src), mat_mul(transpose(a), gram_dst))
+
+
+@st.composite
+def pseudo_inverse_cases(draw):
+    """(a, G_src, G_dst): a an n x m integer matrix, n, m <= 5, that is sparse,
+    rank-deficient, zero, of full row rank or of full column rank, and Grams
+    B^T B + I for integer B."""
+    kind = draw(st.sampled_from(("sparse", "deficient", "zero", "full_row", "full_col")))
+    n, m = (draw(st.integers(min_value=1, max_value=5)) for _ in range(2))
+    ints = st.integers(min_value=-3, max_value=3)
+    if kind == "sparse":
+        a = draw(matrices(st.sampled_from((0, 0, 0, 0, 1, -1, 2)), n, m))
+    elif kind == "deficient":
+        assume(min(n, m) >= 2)
+        r = draw(st.integers(min_value=1, max_value=min(n, m) - 1))
+        a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*draw(matrices(ints, r, m)))]
+             for row in draw(matrices(ints, n, r))]
+    elif kind == "zero":
+        a = [[0] * m for _ in range(n)]
+    else:
+        n, m = sorted((n, m), reverse=kind == "full_col")
+        a = draw(matrices(ints, n, m))
+        assume(rank(a) == min(n, m))
+
+    def gram(k):
+        b = draw(matrices(ints, k, k))
+        return [[sum(b[t][i] * b[t][j] for t in range(k)) + (i == j) for j in range(k)]
+                for i in range(k)]
+
+    return a, gram(m), gram(n)
+
+
+class TestPseudoInverse:
+    @given(pseudo_inverse_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_penrose_conditions(self, case):
+        a, gram_src, gram_dst = case
+        ap = pseudo_inverse(a, gram_src, gram_dst)
+        assert all_fractions(ap) and len(ap) == len(a[0]) and len(ap[0]) == len(a)
+        assert mat_mul(a, mat_mul(ap, a)) == a
+        assert mat_mul(ap, mat_mul(a, ap)) == ap
+        for sym in (mat_mul(gram_dst, mat_mul(a, ap)), mat_mul(gram_src, mat_mul(ap, a))):
+            assert sym == transpose(sym)
+
+    @given(pseudo_inverse_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_grams_match_sympy(self, case):
+        a = case[0]
+        ap = pseudo_inverse(a, identity(len(a[0])), identity(len(a)))
+        assert ap == sympy_fractions(sympy.Matrix(a).pinv())
 
 
 class TestHodgeWithoutInverse:

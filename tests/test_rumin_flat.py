@@ -4,6 +4,10 @@ Claims:
     - d = sum eps(theta^i) X_i + CE-part satisfies d^2 = 0 symbolically and
       its order-0 part is the CE differential
     - delta is a rational matrix with delta^2 = 0 and equals the CE adjoint
+    - G delta, for G the Green operator of the Kostant Laplacian
+      box = delta d0 + d0 delta, is d0^+: per weight block, (box + P)^-1 delta
+      with P = h pi equals pseudo_inverse of the d0 block on 235, h3, h5, h7
+      and abelian:3 under the identity and two random metrics
     - the splitting L satisfies its three defining conditions exactly in every
       degree of 235, h3, h5, h7 and abelian:3, under the identity and a random
       metric; it is unique (perturbing any coefficient breaks a condition), and
@@ -33,6 +37,8 @@ from fractions import Fraction
 import pytest
 
 from nilrumin.ce_cohomology import (
+    _block,
+    _weight_blocks,
     ce_differential,
     exterior_basis,
     identity_metric,
@@ -50,7 +56,7 @@ from nilrumin.rumin_flat import (
     rumin_D,
     star_duality_check,
 )
-from nilrumin.rational import column_space, mat_mul, rank
+from nilrumin.rational import column_space, mat_mul, pseudo_inverse, rank, solve
 from nilrumin.uea import UEA, UEAOperatorMatrix
 from conftest import scaled_235
 
@@ -103,6 +109,55 @@ class TestKostantDelta:
         assert rank(deltas[2]) == 3
 
 
+def green_delta_reference(alg, inner, q, h, pi):
+    """(box + P)^-1 delta_{q+1} per weight block w of Lambda^q, with box the
+    Kostant Laplacian delta d0 + d0 delta and P = h pi; since P delta = 0 it is
+    G delta for the Green operator G = (box + P)^-1 - P."""
+    deltas = kostant_delta(alg, inner)
+    d0, d0_prev = ce_differential(alg, q), ce_differential(alg, q - 1)
+    delta, delta_q = deltas[q + 1], deltas.get(q)
+    below, here, above = (_weight_blocks(alg, q + s) for s in (-1, 0, 1))
+    out = {}
+    for w, rows in here.items():
+        cols, lower = above.get(w), below.get(w, [])
+        if not cols:
+            continue
+        # box + P = [delta | d0_prev | h] [d0 ; delta_q ; pi] on the block
+        left = [[delta[r][c] for c in cols] + [d0_prev[r][c] for c in lower] + h[r]
+                for r in rows]
+        right = ([[d0[c][r] for r in rows] for c in cols]
+                 + [[delta_q[c][r] for r in rows] for c in lower]
+                 + [[row[r] for r in rows] for row in pi])
+        out[w] = solve(mat_mul(left, right), [[delta[r][c] for c in cols] for r in rows])
+    return out
+
+
+class TestGreenOperator:
+    @pytest.mark.parametrize("make", [algebra_235, lambda: heisenberg(1), lambda: heisenberg(2),
+                                      lambda: heisenberg(3), lambda: abelian(3)],
+                             ids=["235", "heisenberg3", "heisenberg5", "heisenberg7", "abelian3"])
+    def test_green_delta_is_the_pseudo_inverse_of_d0(self, make, rng):
+        alg = make()
+        for inner in (identity_metric(alg), random_graded_inner_product(alg, rng),
+                      random_graded_inner_product(alg, rng)):
+            rc = rumin_D(alg, inner)
+            compared = 0
+            for q in range(alg.dim):
+                d0, above = ce_differential(alg, q), _weight_blocks(alg, q + 1)
+                gram, gram_above = inner.lambda_gram(q), inner.lambda_gram(q + 1)
+                reference = green_delta_reference(alg, inner, q, rc.cohomology.harmonic[q],
+                                                  rc.pis[q])
+                for w, block in reference.items():
+                    rows, cols = _weight_blocks(alg, q)[w], above[w]
+                    assert block == pseudo_inverse(_block(d0, cols, rows),
+                                                   _block(gram, rows, rows),
+                                                   _block(gram_above, cols, cols))
+                    compared += 1
+            # abelian:3 has d0 = 0 and no weight shared by Lambda^q and Lambda^(q+1)
+            assert compared or not any(any(map(any, ce_differential(alg, q)))
+                                       for q in range(alg.dim))
+
+
 class TestSplitting:
     def test_abelian_identity(self):
         alg = abelian(3)
@@ -138,7 +193,7 @@ class TestSplitting:
         alg = make()
         for inner in (identity_metric(alg), random_graded_inner_product(alg, rng)):
             rc = rumin_D(alg, inner)
-            uea, deltas = rc.uea, rc.deltas
+            uea, deltas = rc.uea, kostant_delta(alg, inner)
             for q, lq in enumerate(rc.L):
                 ident = UEAOperatorMatrix.from_scalar(
                     uea, [[1 if i == j else 0 for j in range(rc.cohomology.betti[q])]
